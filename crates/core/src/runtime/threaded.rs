@@ -14,14 +14,18 @@
 //! * **Pooled chunks** — every chunk is a task on a fixed-width pool
 //!   (default [`crate::runtime::pool::default_workers`]); tasks never
 //!   block on the coordinator, so a small pool can drain any chunk count.
-//! * **Pipelined replicas** — the `m` original-state replicas for the
-//!   boundary after chunk `c` are scheduled the moment chunk `c`'s
-//!   result (and with it the boundary snapshot) is accepted, on the
-//!   pool's *urgent* lane. They replay concurrently with chunk `c+1`'s
-//!   still-running speculation; the coordinator only awaits and compares.
-//!   Commit order is untouched: validation of chunk `c+1` still happens
-//!   on the coordinator, strictly after chunk `c`'s outcome is final
-//!   (DESIGN.md §9 gives the full argument).
+//! * **Replicas replayed where the snapshot is sealed** — candidate 0 of
+//!   every chunk that has a successor replays its boundary's `m`
+//!   original-state replicas itself, right after its own run, and hands
+//!   them to the coordinator with its result; when that execution is the
+//!   one that becomes final the coordinator validates the next chunk
+//!   against states it already holds. Only a boundary sealed by something
+//!   else (a breadth candidate above 0, a rerun) re-derives its replicas
+//!   on the pool's *urgent* lane behind a [`ReplicaSet`] rendezvous.
+//!   Replicas are pure functions of (snapshot, inputs, derived stream),
+//!   so both routes produce the same states, and validation still happens
+//!   on the coordinator, strictly in chunk order (DESIGN.md §9 gives the
+//!   full argument).
 //! * **Less allocator traffic** — the last replica takes the boundary
 //!   snapshot by move instead of cloning it, replay inputs are shared by
 //!   reference through the pool scope, and dead states are recycled
@@ -46,7 +50,7 @@ use crate::speculation::run_segment;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use stats_telemetry::clock::monotonic_ns;
 use stats_telemetry::{Category, Counter, Event, Profiler, TelemetrySink};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// The empty fault plan every non-faulted entry point threads through:
@@ -114,21 +118,41 @@ impl<O> ThreadedRun<O> {
 
 /// A chunk (or rerun) task's report to the coordinator.
 ///
-/// `snapshot` is `None` only for an overlapped rerun's final segment: its
-/// boundary snapshot was consumed by the rerun's first segment, which
-/// scheduled the boundary replicas before the suffix even started.
+/// `snapshot` is `None` when the task consumed its boundary snapshot
+/// itself: a candidate 0 that replayed the boundary's replicas (they ride
+/// in `replicas`), or an overlapped rerun's final segment, whose first
+/// segment scheduled them before the suffix even started.
 struct WorkerResult<S, O> {
     spec_state: Option<S>,
     outputs: Vec<O>,
     snapshot: Option<S>,
     final_state: S,
+    /// The boundary's replicas, when this execution replayed them itself.
+    replicas: Option<Replicas<S>>,
+}
+
+/// The `m` replayed original states of one boundary, in replica order,
+/// with the bytes their replays materialized through copy-on-write
+/// faults — counted only once the coordinator validates against them.
+struct Replicas<S> {
+    states: Vec<S>,
+    materialized: u64,
+}
+
+/// Where the coordinator finds the replicas validating the next chunk.
+enum BoundaryReplicas<S> {
+    /// In hand: replayed by the candidate-0 task that sealed the boundary.
+    Held(Replicas<S>),
+    /// Being re-derived on the urgent lane (see [`schedule_replicas`]).
+    Scheduled(Arc<ReplicaSet<S>>),
 }
 
 /// The borrowed context every pool task needs; `Copy` so tasks capture it
-/// wholesale without threading five arguments through each closure.
+/// wholesale without threading its fields through each closure.
 struct RunCtx<'a, W: StateDependence> {
     workload: &'a W,
     inputs: &'a [W::Input],
+    chunks: usize,
     k: usize,
     m: usize,
     master_seed: u64,
@@ -136,6 +160,7 @@ struct RunCtx<'a, W: StateDependence> {
     state_bytes: u64,
     telemetry: Option<&'a TelemetrySink>,
     faults: &'a FaultPlan,
+    states: &'a StatePool<W::State>,
 }
 
 impl<W: StateDependence> Clone for RunCtx<'_, W> {
@@ -145,10 +170,23 @@ impl<W: StateDependence> Clone for RunCtx<'_, W> {
 }
 impl<W: StateDependence> Copy for RunCtx<'_, W> {}
 
-/// One boundary's replica rendezvous: pool tasks deposit replayed states
-/// by index, the coordinator blocks until all `m` have arrived. Index
-/// slots keep the comparison order identical to the semantic layer no
-/// matter which task finishes first.
+// Rendezvous built, and state buffers leaked, by runs coordinated on this
+// thread: lets a test pin that the all-commit fast path never falls back
+// to a `ReplicaSet` and that no run loses a state.
+#[cfg(test)]
+// stats-analyzer: allow(ND004): test-only probes of the coordinator thread, compiled out of every other build and never read by protocol code
+thread_local! {
+    // stats-analyzer: allow(ND004): test-only probe, see above
+    static RENDEZVOUS_BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    // stats-analyzer: allow(ND004): test-only probe, see above
+    static STATES_LEAKED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// One boundary's replica rendezvous, built only when the boundary was
+/// sealed by something other than a candidate-0 task: pool tasks deposit
+/// replayed states by index, the coordinator blocks until all `m` have
+/// arrived. Index slots keep the comparison order identical to the
+/// semantic layer no matter which task finishes first.
 struct ReplicaSet<S> {
     slots: Mutex<ReplicaSlots<S>>,
     all_done: Condvar,
@@ -156,24 +194,30 @@ struct ReplicaSet<S> {
 
 struct ReplicaSlots<S> {
     states: Vec<Option<S>>,
+    materialized: u64,
     remaining: usize,
 }
 
 impl<S> ReplicaSet<S> {
+    /// Always called on the coordinator thread.
     fn new(m: usize) -> Self {
+        #[cfg(test)]
+        RENDEZVOUS_BUILT.with(|n| n.set(n.get() + 1));
         ReplicaSet {
             slots: Mutex::new(ReplicaSlots {
                 states: (0..m).map(|_| None).collect(),
+                materialized: 0,
                 remaining: m,
             }),
             all_done: Condvar::new(),
         }
     }
 
-    fn put(&self, j: usize, state: S) {
+    fn put(&self, j: usize, state: S, materialized: u64) {
         let mut slots = self.slots.lock().expect("replica mutex");
         debug_assert!(slots.states[j].is_none(), "replica slot filled twice");
         slots.states[j] = Some(state);
+        slots.materialized += materialized;
         slots.remaining -= 1;
         if slots.remaining == 0 {
             self.all_done.notify_all();
@@ -187,7 +231,7 @@ impl<S> ReplicaSet<S> {
     /// will never `put`, so once the owning scope is poisoned the wait
     /// returns `Err` with the number of missing replicas instead of
     /// hanging the coordinator forever.
-    fn wait_unless(&self, abandoned: impl Fn() -> bool) -> Result<Vec<S>, usize> {
+    fn wait_unless(&self, abandoned: impl Fn() -> bool) -> Result<Replicas<S>, usize> {
         let mut slots = self.slots.lock().expect("replica mutex");
         while slots.remaining > 0 {
             let (guard, _timeout) = self
@@ -200,25 +244,53 @@ impl<S> ReplicaSet<S> {
                 return Err(slots.remaining);
             }
         }
-        Ok(slots
-            .states
-            .iter_mut()
-            .map(|s| s.take().expect("replica deposited"))
-            .collect())
+        Ok(Replicas {
+            states: slots
+                .states
+                .iter_mut()
+                .map(|s| s.take().expect("replica deposited"))
+                .collect(),
+            materialized: slots.materialized,
+        })
     }
+}
+
+/// A working copy of the boundary snapshot for one replica. Deep clones
+/// route through the state free-list to reuse dead allocations;
+/// copy-on-write snapshots are O(1) forks with nothing worth recycling.
+///
+/// Profiler spans here and in [`replay_replica`] carry `boundary + 1` —
+/// the chunk this boundary's replicas validate — so the attribution
+/// engine groups replica-generation time with the seal it gates.
+fn fork_snapshot<W: StateDependence>(
+    ctx: RunCtx<'_, W>,
+    snapshot: &mut W::State,
+    boundary: usize,
+) -> W::State {
+    let prof = profiler_of(ctx.telemetry);
+    let t0 = span_start(prof);
+    let fork = match ctx.strategy {
+        SnapshotStrategy::DeepClone => ctx.states.copy_of(snapshot),
+        SnapshotStrategy::CopyOnWrite => ctx.workload.snapshot_state(snapshot, ctx.strategy),
+    };
+    span_end(prof, Category::OriginalStateGen, boundary + 1, t0);
+    fork
 }
 
 /// Replay one original-state replica: the trailing `k` inputs of
 /// `boundary`'s chunk, from the boundary snapshot, on its own derived
 /// stream — the same sampling of the acceptable-state space the semantic
-/// layer performs.
+/// layer performs. Returns the replayed state and the bytes the replay
+/// materialized through copy-on-write faults.
 fn replay_replica<W: StateDependence>(
     ctx: RunCtx<'_, W>,
     mut state: W::State,
     boundary: usize,
     replica: usize,
     replay: (usize, usize),
-) -> W::State {
+) -> (W::State, u64) {
+    let prof = profiler_of(ctx.telemetry);
+    let t0 = span_start(prof);
     let mut rng = StatsRng::derive(
         ctx.master_seed,
         StreamRole::OriginalState {
@@ -229,95 +301,125 @@ fn replay_replica<W: StateDependence>(
     for idx in replay.0..replay.1 {
         ctx.workload.update(&mut state, &ctx.inputs[idx], &mut rng);
     }
-    // Bytes this replica materialized through copy-on-write faults,
-    // attributed (like the replica copies themselves) to the chunk this
-    // boundary validates.
     let materialized = ctx.workload.take_materialized(&mut state);
-    if let Some(t) = ctx.telemetry {
-        t.add(boundary + 1, Counter::StateBytesCopied, materialized);
-    }
-    state
+    span_end(prof, Category::OriginalStateGen, boundary + 1, t0);
+    (state, materialized)
 }
 
-/// Schedule the `m` replicas for `boundary` onto the pool's urgent lane,
-/// consuming the boundary snapshot. The fan-out task clones `m - 1`
-/// working copies through the [`StatePool`] and replays the final replica
-/// from the moved snapshot itself — the snapshot is never cloned for the
-/// last replica. No-op when `m == 0` (the set is born complete).
+/// Replay all `m` replicas of `boundary` in the calling task — candidate
+/// 0 of chunk `boundary`, right after it sealed `snapshot`: `m - 1`
+/// working copies, the last replica from the moved snapshot itself.
+///
+/// Candidate 0 of a chunk always runs, exactly once past its own fault
+/// guard, so this is where every `FaultSite::Replica` of the boundary
+/// fires: at replica entry, before the snapshot is forked or consumed,
+/// so an in-place retry replays once, on the replica's original stream.
+fn replay_boundary<W: StateDependence>(
+    ctx: RunCtx<'_, W>,
+    boundary: usize,
+    replay: (usize, usize),
+    mut snapshot: W::State,
+) -> Replicas<W::State> {
+    let mut replicas = Replicas {
+        states: Vec::with_capacity(ctx.m),
+        materialized: 0,
+    };
+    let Some(last) = ctx.m.checked_sub(1) else {
+        ctx.states.recycle(snapshot);
+        return replicas;
+    };
+    let mut replay_from = |state: W::State, replica: usize| {
+        let (state, materialized) = replay_replica(ctx, state, boundary, replica, replay);
+        replicas.states.push(state);
+        replicas.materialized += materialized;
+    };
+    let guard = |replica: usize| {
+        fault::recovery_guard(
+            ctx.faults,
+            FaultSite::Replica { boundary, replica },
+            ctx.telemetry,
+        );
+    };
+    for replica in 0..last {
+        guard(replica);
+        let fork = fork_snapshot(ctx, &mut snapshot, boundary);
+        replay_from(fork, replica);
+    }
+    // Final replica: takes the snapshot by move — no clone.
+    guard(last);
+    replay_from(snapshot, last);
+    replicas
+}
+
+/// Re-derive the `m` replicas of a `boundary` whose state was sealed by
+/// something other than a candidate-0 task, on the pool's urgent lane,
+/// consuming the boundary snapshot. The fan-out task forks `m - 1`
+/// working copies, each replayed by an urgent task of its own, and replays
+/// the final replica from the moved snapshot itself. The boundary's fault
+/// sites were already served by [`replay_boundary`]; nothing fires here.
+/// With `m == 0` the set is born complete and there is nothing to replay.
 fn schedule_replicas<'scope, 'env, W>(
     scope: &'scope PoolScope<'scope, 'env>,
     ctx: RunCtx<'env, W>,
-    states: &'env StatePool<W::State>,
-    set: &'env ReplicaSet<W::State>,
+    set: Arc<ReplicaSet<W::State>>,
     boundary: usize,
     replay: (usize, usize),
     snapshot: W::State,
 ) where
     W: StateDependence + Sync,
 {
-    let m = ctx.m;
-    if m == 0 {
+    let Some(last) = ctx.m.checked_sub(1) else {
+        ctx.states.recycle(snapshot);
         return;
-    }
-    // Profiler spans here carry `boundary + 1` — the chunk this
-    // boundary's replicas validate — so the attribution engine groups
-    // replica-generation time with the seal it gates.
-    let validated = boundary + 1;
+    };
     scope.spawn_urgent(move || {
         let mut snapshot = snapshot;
-        let prof = profiler_of(ctx.telemetry);
-        for j in 0..m - 1 {
-            let t0 = span_start(prof);
-            // Deep clones route through the state free-list to reuse dead
-            // allocations; copy-on-write snapshots are O(1) forks with
-            // nothing worth recycling.
-            let st = match ctx.strategy {
-                SnapshotStrategy::DeepClone => states.copy_of(&snapshot),
-                SnapshotStrategy::CopyOnWrite => {
-                    ctx.workload.snapshot_state(&mut snapshot, ctx.strategy)
-                }
-            };
-            span_end(prof, Category::OriginalStateGen, validated, t0);
+        for j in 0..last {
+            let fork = fork_snapshot(ctx, &mut snapshot, boundary);
+            let set = Arc::clone(&set);
             scope.spawn_urgent(move || {
-                // Fault guard at task entry: the fork is untouched and no
-                // protocol counter is recorded yet, so an in-place retry
-                // replays once, on the replica's original derived stream.
-                fault::recovery_guard(
-                    ctx.faults,
-                    FaultSite::Replica {
-                        boundary,
-                        replica: j,
-                    },
-                    ctx.telemetry,
-                );
-                let prof = profiler_of(ctx.telemetry);
-                let t0 = span_start(prof);
-                let replayed = replay_replica(ctx, st, boundary, j, replay);
-                span_end(prof, Category::OriginalStateGen, validated, t0);
-                set.put(j, replayed);
+                let (replayed, materialized) = replay_replica(ctx, fork, boundary, j, replay);
+                set.put(j, replayed, materialized);
             });
         }
-        // Final replica: takes the snapshot by move — no clone.
-        let last = m - 1;
-        fault::recovery_guard(
-            ctx.faults,
-            FaultSite::Replica {
-                boundary,
-                replica: last,
-            },
-            ctx.telemetry,
-        );
-        let t0 = span_start(prof);
-        let replayed = replay_replica(ctx, snapshot, boundary, last, replay);
-        span_end(prof, Category::OriginalStateGen, validated, t0);
-        set.put(last, replayed);
+        let (replayed, materialized) = replay_replica(ctx, snapshot, boundary, last, replay);
+        set.put(last, replayed, materialized);
     });
 }
 
-/// The replayed index window feeding the replicas of `boundary`: the
-/// trailing `k` inputs of that chunk (clamped to the chunk itself).
-fn replay_bounds(plan: &ChunkPlan, boundary: usize, k: usize) -> (usize, usize) {
-    let range = plan.chunk(boundary);
+/// [`schedule_replicas`] behind a freshly built rendezvous, for the
+/// coordinator to await.
+fn rederive_replicas<'scope, 'env, W>(
+    scope: &'scope PoolScope<'scope, 'env>,
+    ctx: RunCtx<'env, W>,
+    boundary: usize,
+    replay: (usize, usize),
+    snapshot: W::State,
+) -> BoundaryReplicas<W::State>
+where
+    W: StateDependence + Sync,
+{
+    let set = Arc::new(ReplicaSet::new(ctx.m));
+    schedule_replicas(scope, ctx, Arc::clone(&set), boundary, replay, snapshot);
+    BoundaryReplicas::Scheduled(set)
+}
+
+/// Return every state of a dead execution to the free-list.
+fn recycle_result<S: Clone, O>(states: &StatePool<S>, result: WorkerResult<S, O>) {
+    let replicas = result.replicas.into_iter().flat_map(|r| r.states);
+    let dead = (result.spec_state.into_iter())
+        .chain(result.snapshot)
+        .chain(Some(result.final_state))
+        .chain(replicas);
+    for st in dead {
+        states.recycle(st);
+    }
+}
+
+/// The replayed index window feeding the replicas of the boundary after
+/// the chunk covering `range`: its trailing `k` inputs (clamped to the
+/// chunk itself).
+fn replay_bounds(range: &std::ops::Range<usize>, k: usize) -> (usize, usize) {
     (range.end.saturating_sub(k).max(range.start), range.end)
 }
 
@@ -404,6 +506,7 @@ fn spawn_chunk_candidate<'scope, 'env, W>(
             }
         };
         let mut rng = StatsRng::derive(ctx.master_seed, run_role);
+        let replay = replay_bounds(&range, ctx.k);
         let t_run = span_start(prof);
         let run = run_segment(
             ctx.workload,
@@ -415,6 +518,15 @@ fn spawn_chunk_candidate<'scope, 'env, W>(
             &mut rng,
         );
         span_end(prof, Category::ChunkCompute, c, t_run);
+        // Candidate 0 sealed the snapshot its boundary's replicas fork
+        // from (Fig. 5): replay them here, so that when this execution
+        // becomes final the coordinator validates chunk c + 1 without a
+        // round trip through the pool.
+        let (snapshot, replicas) = if j == 0 && c + 1 < ctx.chunks {
+            (None, Some(replay_boundary(ctx, c, replay, run.snapshot)))
+        } else {
+            (Some(run.snapshot), None)
+        };
         if let Some(t) = ctx.telemetry {
             t.add(c, Counter::StateBytesCopied, run.materialized);
             t.add(c, Counter::BusyTime, ns_since(busy_start));
@@ -423,8 +535,9 @@ fn spawn_chunk_candidate<'scope, 'env, W>(
         tx.send(WorkerResult {
             spec_state,
             outputs: run.outputs,
-            snapshot: Some(run.snapshot),
+            snapshot,
             final_state: run.final_state,
+            replicas,
         })
         .expect("coordinator alive");
     };
@@ -676,9 +789,13 @@ where
     let prof = profiler_of(telemetry);
     let start_ns = monotonic_ns();
 
+    // The state free-list lives across the whole scope so tasks can
+    // borrow it.
+    let states: StatePool<W::State> = StatePool::with_capacity(m + 2);
     let ctx = RunCtx {
         workload,
         inputs,
+        chunks,
         k,
         m,
         master_seed,
@@ -686,6 +803,7 @@ where
         state_bytes: workload.state_bytes() as u64,
         telemetry,
         faults,
+        states: &states,
     };
 
     // Chunk-result channels, one per (chunk, candidate); the sending half
@@ -708,29 +826,22 @@ where
         result_rx.push(rxs);
     }
 
-    // Pipelined-replica rendezvous, one per boundary, and the state
-    // free-list — both live across the whole scope so tasks can borrow
-    // them.
-    let replica_sets: Vec<ReplicaSet<W::State>> = (0..chunks.saturating_sub(1))
-        .map(|_| ReplicaSet::new(m))
-        .collect();
-    let states: StatePool<W::State> = StatePool::with_capacity(m + 2);
-
     let mut decisions = vec![ChunkDecision::First; chunks];
     let mut outputs_per_chunk: Vec<Vec<W::Output>> = Vec::with_capacity(chunks);
 
-    // Plan, channel, and rendezvous construction is the run's setup cost.
+    // Plan and channel construction is the run's setup cost.
     span_end(prof, Category::Setup, 0, start_ns);
 
     pool.scope(|scope| {
         // ---- chunk tasks --------------------------------------------------
         // Queued in commit order on the normal lane, candidate-major within
-        // a chunk; replicas and reruns overtake them through the urgent
-        // lane. Tasks compute, send, and exit — no task ever blocks on the
-        // coordinator, so any pool width drains any chunk count. Candidate
-        // 0 runs the historical streams, so a breadth-1 run is bit-for-bit
-        // the pre-breadth executor; candidates above 0 warm up and run on
-        // their own derived streams, sampling alternative start states.
+        // a chunk; reruns and re-derived replicas overtake them through
+        // the urgent lane. Tasks compute, send, and exit — no task ever
+        // blocks on the coordinator, so any pool width drains any chunk
+        // count. Candidate 0 runs the historical streams, so a breadth-1
+        // run is bit-for-bit the pre-breadth executor; candidates above 0
+        // warm up and run on their own derived streams, sampling
+        // alternative start states.
         for (c, txs) in result_tx.into_iter().enumerate() {
             for (j, tx) in txs.into_iter().enumerate() {
                 spawn_chunk_candidate(scope, ctx, c, j, plan.chunk(c), tx, 0);
@@ -741,6 +852,9 @@ where
         // Runs on the calling thread (not a pool worker): it may block on
         // chunk results and replica rendezvous without holding up the pool.
         let mut prev_final: Option<W::State> = None;
+        // The replicas validating the next chunk, set when the current
+        // one's outcome becomes final.
+        let mut next_replicas: Option<BoundaryReplicas<W::State>> = None;
         // An in-flight overlapped rerun: its final segment's result is
         // received only when the *next* chunk's validation needs the true
         // state, so the rerun suffix overlaps replica generation instead
@@ -770,60 +884,60 @@ where
                 let result = cand_results.pop().expect("chunk 0 result");
                 decisions[0] = ChunkDecision::First;
                 prev_final = Some(result.final_state);
-                // Pipeline: chunk 0 is final by definition, so its boundary
-                // replicas start replaying immediately, overlapping chunk
-                // 1's still-running speculation.
-                if chunks > 1 {
-                    schedule_replicas(
-                        scope,
-                        ctx,
-                        &states,
-                        &replica_sets[0],
-                        0,
-                        replay_bounds(&plan, 0, k),
-                        result.snapshot.expect("chunk snapshot"),
-                    );
-                }
+                // Chunk 0 is final by definition, so the replicas it
+                // replayed are the ones chunk 1 is validated against.
+                next_replicas = result.replicas.map(BoundaryReplicas::Held);
                 outputs_per_chunk.push(result.outputs);
                 continue;
             }
-            // Await the pipelined replicas for this boundary (Fig. 5);
-            // they were scheduled when chunk c-1's outcome became final —
-            // by the coordinator on a commit, by the rerun's first segment
-            // on an overlapped abort.
-            let t_wait = span_start(prof);
-            let replica_states = match replica_sets[c - 1].wait_unless(|| scope.poisoned()) {
-                Ok(states) => states,
-                Err(missing) => {
-                    // A replica task died before its `put`; the rendezvous
-                    // can never fill. Count each undelivered buffer as
-                    // leaked and re-raise through the scope.
-                    for _ in 0..missing {
-                        states.note_leak();
-                    }
-                    panic!(
-                        "replica rendezvous for boundary {} abandoned with {missing} \
-                         replica(s) undelivered",
-                        c - 1
-                    );
+            // The replicas for this boundary (Fig. 5): already here when
+            // chunk c-1's final execution was its candidate 0, else awaited
+            // from the urgent tasks scheduled when its outcome became
+            // final — by the coordinator on a candidate hit or after a
+            // serialized rerun, by the rerun's first segment on an
+            // overlapped abort.
+            let replicas = match next_replicas.take().expect("boundary replicas") {
+                BoundaryReplicas::Held(replicas) => replicas,
+                BoundaryReplicas::Scheduled(set) => {
+                    let t_wait = span_start(prof);
+                    let replicas = match set.wait_unless(|| scope.poisoned()) {
+                        Ok(replicas) => replicas,
+                        Err(missing) => {
+                            // A replica task died before its `put`; the
+                            // rendezvous can never fill. Count each
+                            // undelivered buffer as leaked and re-raise
+                            // through the scope.
+                            for _ in 0..missing {
+                                states.note_leak();
+                            }
+                            panic!(
+                                "replica rendezvous for boundary {} abandoned with {missing} \
+                                 replica(s) undelivered",
+                                c - 1
+                            );
+                        }
+                    };
+                    span_end(prof, Category::Sync, c, t_wait);
+                    replicas
                 }
             };
-            span_end(prof, Category::Sync, c, t_wait);
             if let Some(t) = telemetry {
                 // One state materialization per replica: m-1 pool-recycled
                 // clones plus the final moved snapshot — the protocol
                 // transfers m states either way, matching the semantic
-                // layer's accounting. (Replica fault bytes were drained at
-                // replay time by `replay_replica`.)
+                // layer's accounting — plus what these replicas' replays
+                // materialized. Counted here, where the replicas are used:
+                // a discarded candidate 0's never are.
                 t.add(c, Counter::ReplicasValidated, m as u64);
                 t.add(c, Counter::StateCopies, m as u64);
                 t.add(c, Counter::StateBytesLogical, m as u64 * ctx.state_bytes);
                 t.add(
                     c,
                     Counter::StateBytesCopied,
-                    m as u64 * workload.snapshot_copy_bytes(ctx.strategy),
+                    m as u64 * workload.snapshot_copy_bytes(ctx.strategy) + replicas.materialized,
                 );
             }
+            let replica_states = replicas.states;
             // Resolve an overlapped rerun of chunk c-1 now that its true
             // final state gates this chunk's validation. Its boundary
             // replicas were scheduled by the rerun's first segment (and
@@ -896,17 +1010,12 @@ where
                 }
                 states.recycle(pf);
                 let accepted = cand_results.swap_remove(winner);
-                // The rejected candidates and compared replicas are dead
+                // The rejected candidates (a losing candidate 0's unused
+                // replicas with it) and the compared replicas are dead
                 // after validation (DESIGN.md §9's lifetime rule); feed
                 // the next boundary's clones from them.
                 for r in cand_results {
-                    if let Some(st) = r.spec_state {
-                        states.recycle(st);
-                    }
-                    if let Some(st) = r.snapshot {
-                        states.recycle(st);
-                    }
-                    states.recycle(r.final_state);
+                    recycle_result(&states, r);
                 }
                 if let Some(st) = accepted.spec_state {
                     states.recycle(st);
@@ -916,15 +1025,19 @@ where
                 }
                 prev_final = Some(accepted.final_state);
                 if c + 1 < chunks {
-                    schedule_replicas(
-                        scope,
-                        ctx,
-                        &states,
-                        &replica_sets[c],
-                        c,
-                        replay_bounds(&plan, c, k),
-                        accepted.snapshot.expect("chunk snapshot"),
-                    );
+                    // Candidate 0 brought its boundary's replicas along; a
+                    // winner above 0 sealed a boundary nothing has
+                    // replayed from yet.
+                    next_replicas = Some(match accepted.replicas {
+                        Some(replicas) => BoundaryReplicas::Held(replicas),
+                        None => rederive_replicas(
+                            scope,
+                            ctx,
+                            c,
+                            replay_bounds(&plan.chunk(c), k),
+                            accepted.snapshot.expect("chunk snapshot"),
+                        ),
+                    });
                 }
                 outputs_per_chunk.push(accepted.outputs);
             } else {
@@ -941,15 +1054,11 @@ where
                     );
                     t.event(&Event::ChunkAborted { chunk: c });
                 }
-                // Every candidate's speculative results are dead.
+                // Every candidate's speculative results are dead, and with
+                // them the replicas candidate 0 replayed from the boundary
+                // state it mispredicted.
                 for r in cand_results {
-                    if let Some(st) = r.spec_state {
-                        states.recycle(st);
-                    }
-                    if let Some(st) = r.snapshot {
-                        states.recycle(st);
-                    }
-                    states.recycle(r.final_state);
+                    recycle_result(&states, r);
                 }
                 for st in replica_states {
                     states.recycle(st);
@@ -970,9 +1079,11 @@ where
                     // stream threads through both segments, so the rerun is
                     // bit-identical to the unsplit re-execution.
                     let split = range.end - k.min(range.len());
-                    let replay = replay_bounds(&plan, c, k);
-                    let set = (c + 1 < chunks).then(|| &replica_sets[c]);
-                    let states_ref = &states;
+                    let replay = replay_bounds(&range, k);
+                    // Built here, on the coordinator, which awaits it; the
+                    // last chunk has no boundary left to validate.
+                    let set = (c + 1 < chunks).then(|| Arc::new(ReplicaSet::new(m)));
+                    next_replicas = set.clone().map(BoundaryReplicas::Scheduled);
                     scope.spawn_urgent(move || {
                         fault::recovery_guard(
                             ctx.faults,
@@ -1012,11 +1123,9 @@ where
                             });
                         }
                         match set {
-                            Some(set) => {
-                                schedule_replicas(scope, ctx, states_ref, set, c, replay, snap);
-                            }
+                            Some(set) => schedule_replicas(scope, ctx, set, c, replay, snap),
                             // Last chunk: no boundary left to validate.
-                            None => drop(snap),
+                            None => ctx.states.recycle(snap),
                         }
                         // Segment 1: the trailing-k suffix, overlapping the
                         // replicas scheduled above.
@@ -1058,6 +1167,7 @@ where
                                 outputs,
                                 snapshot: None,
                                 final_state: state,
+                                replicas: None,
                             })
                             .expect("coordinator alive");
                             if let Some(t) = ctx.telemetry {
@@ -1113,6 +1223,7 @@ where
                             outputs: rerun.outputs,
                             snapshot: Some(rerun.snapshot),
                             final_state: rerun.final_state,
+                            replicas: None,
                         })
                         .expect("coordinator alive");
                         if let Some(t) = ctx.telemetry {
@@ -1130,15 +1241,13 @@ where
                     span_end(prof, Category::Sync, c, t_rr);
                     prev_final = Some(rerun.final_state);
                     if c + 1 < chunks {
-                        schedule_replicas(
+                        next_replicas = Some(rederive_replicas(
                             scope,
                             ctx,
-                            &states,
-                            &replica_sets[c],
                             c,
-                            replay_bounds(&plan, c, k),
+                            replay_bounds(&plan.chunk(c), k),
                             rerun.snapshot.expect("rerun snapshot"),
-                        );
+                        ));
                     }
                     outputs_per_chunk.push(rerun.outputs);
                 }
@@ -1163,6 +1272,8 @@ where
         }
     });
 
+    #[cfg(test)]
+    STATES_LEAKED.with(|n| n.set(n.get() + states.leaked()));
     if let Some(t) = telemetry {
         t.event(&Event::RunFinished {
             committed: decisions
@@ -1328,6 +1439,7 @@ where
                     outputs: run.outputs,
                     snapshot: Some(run.snapshot),
                     final_state: run.final_state,
+                    replicas: None,
                 })
                 .expect("coordinator alive");
                 let idle_start = monotonic_ns();
@@ -1370,6 +1482,7 @@ where
                             outputs: rerun.outputs,
                             snapshot: Some(rerun.snapshot),
                             final_state: rerun.final_state,
+                            replicas: None,
                         })
                         .expect("coordinator alive");
                         if let Some(t) = telemetry {
@@ -2054,5 +2167,110 @@ mod tests {
         assert_eq!(first.decisions, again.decisions);
         assert_eq!(first.outputs, fresh.outputs);
         assert_eq!(first.decisions, fresh.decisions);
+    }
+
+    /// Run `f` and report how many replica rendezvous the runs it
+    /// coordinated built, and how many state buffers they leaked.
+    fn probed<R>(f: impl FnOnce() -> R) -> (R, usize, usize) {
+        RENDEZVOUS_BUILT.with(|n| n.set(0));
+        STATES_LEAKED.with(|n| n.set(0));
+        let r = f();
+        (
+            r,
+            RENDEZVOUS_BUILT.with(std::cell::Cell::get),
+            STATES_LEAKED.with(std::cell::Cell::get),
+        )
+    }
+
+    #[test]
+    fn all_commit_run_never_builds_a_rendezvous() {
+        // Breadth 1 and every chunk commits: each boundary's replicas
+        // arrive inside candidate 0's result. A `ReplicaSet` is only ever
+        // built next to the urgent replica task it serves, so none built
+        // means none enqueued.
+        let w = Ema {
+            decay: 0.6,
+            tolerance: 0.02,
+        };
+        let ins = inputs(200);
+        let cfg = Config::stats_only(5, 10, 2);
+        let sink = TelemetrySink::new(cfg.chunks);
+        let pool = WorkerPool::new(2);
+        let (run, built, leaked) =
+            probed(|| run_threaded_on(&pool, &w, &ins, cfg, 42, Some(&sink)));
+        assert_eq!(run.aborts(), 0, "this setup must commit every chunk");
+        assert_eq!(built, 0, "the fast path regressed to the rendezvous");
+        assert_eq!(leaked, 0);
+        assert_eq!(sink.snapshot().get(Counter::ReplicasValidated), 4 * 2);
+    }
+
+    #[test]
+    fn rendezvous_serves_only_boundaries_candidate_zero_did_not_seal() {
+        // Every chunk after the first aborts here, so every boundary with
+        // a successor is sealed by a rerun, serialized or overlapped.
+        let w = Ema {
+            decay: 0.999,
+            tolerance: 1e-6,
+        };
+        let ins = inputs(128);
+        for overlap in [false, true] {
+            for breadth in [1usize, 2] {
+                let cfg = Config::stats_only(4, 4, 2)
+                    .with_breadth(breadth)
+                    .with_overlap(overlap);
+                let semantic = run_speculative(&w, &ins, cfg, 7);
+                let resealed = semantic.chunks[..cfg.chunks - 1]
+                    .iter()
+                    .filter(|c| c.aborted() || c.matched_candidate.is_some_and(|j| j > 0))
+                    .count();
+                assert!(resealed > 0, "this setup must abort");
+                let (run, built, leaked) = probed(|| run_threaded(&w, &ins, cfg, 7));
+                assert_eq!(built, resealed, "overlap {overlap}, breadth {breadth}");
+                assert_eq!(leaked, 0);
+                assert_eq!(run.outputs, semantic.outputs);
+            }
+        }
+    }
+
+    #[test]
+    fn no_successor_or_no_replicas_means_no_replay_and_no_leak() {
+        let w = Ema {
+            decay: 0.999,
+            tolerance: 1e-6,
+        };
+        let ins = inputs(128);
+        // m = 0 with only the last chunk left to abort: nothing to replay,
+        // nothing left to validate. The same with a replica (both rerun
+        // shapes). Single chunk: no boundary at all.
+        let cases = [
+            Config::stats_only(2, 4, 0),
+            Config::stats_only(2, 4, 0).with_overlap(true),
+            Config::stats_only(2, 4, 1),
+            Config::stats_only(2, 4, 1).with_overlap(true),
+            Config::sequential(),
+        ];
+        for cfg in cases {
+            let sink = TelemetrySink::new(cfg.chunks);
+            let semantic = run_speculative(&w, &ins, cfg, 7);
+            let (run, built, leaked) =
+                probed(|| run_threaded_observed(&w, &ins, cfg, 7, Some(&sink)));
+            assert_eq!(built, 0, "{cfg:?}");
+            assert_eq!(leaked, 0, "{cfg:?}");
+            assert_eq!(run.outputs, semantic.outputs, "{cfg:?}");
+            if cfg.chunks > 1 {
+                assert_eq!(
+                    run.decisions.last(),
+                    Some(&ChunkDecision::Aborted),
+                    "{cfg:?}: the last chunk must abort"
+                );
+            }
+            let snap = sink.snapshot();
+            assert_eq!(
+                snap.get(Counter::ReplicasValidated),
+                (cfg.chunks as u64 - 1) * cfg.extra_states as u64,
+                "{cfg:?}"
+            );
+            assert_eq!(snap.get(Counter::StateBytesCopied), semantic.bytes_copied());
+        }
     }
 }

@@ -12,11 +12,15 @@
 //! 3. an *empty* fault plan is the head executor bit for bit — the
 //!    guards add no protocol recordings of their own.
 
+mod common;
+
+use common::protocol_totals;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use stats_core::runtime::pool::WorkerPool;
+use stats_core::runtime::simulated::SimulatedRuntime;
 use stats_core::runtime::threaded::{run_threaded_faulted_on, run_threaded_on};
-use stats_core::{Config, FaultPlan};
+use stats_core::{run_speculative, Config, FaultKind, FaultPlan, FaultSite, Injection};
 use stats_telemetry::{Counter, TelemetrySink};
 use stats_workloads::{dispatch, Workload, WorkloadVisitor, BENCHMARK_NAMES};
 
@@ -59,28 +63,6 @@ fn scenarios() -> impl Strategy<Value = Scenario> {
                 }
             },
         )
-}
-
-/// Protocol counters that must be untouched by fault recovery (every
-/// count, no timing).
-const PROTOCOL: [Counter; 12] = [
-    Counter::ChunksStarted,
-    Counter::ChunksCommitted,
-    Counter::ChunksAborted,
-    Counter::Reruns,
-    Counter::RerunSegments,
-    Counter::SpecCandidates,
-    Counter::CandidateHits,
-    Counter::ReplicasValidated,
-    Counter::StateCopies,
-    Counter::StateComparisons,
-    Counter::StateBytesLogical,
-    Counter::StateBytesCopied,
-];
-
-fn protocol_totals(sink: &TelemetrySink) -> Vec<u64> {
-    let snap = sink.snapshot();
-    PROTOCOL.iter().map(|c| snap.get(*c)).collect()
 }
 
 /// A faulted run is the fault-free run: same decisions, same outputs,
@@ -253,4 +235,82 @@ fn every_benchmark_recovers_under_a_seeded_plan() {
         let r = dispatch(name, RecoveryIsInvisible { sc });
         r.unwrap_or_else(|e| panic!("{name}: {e:?}"));
     }
+}
+
+/// Replica sites fire where candidate 0 of the boundary's chunk replays
+/// them, once — also on a boundary whose candidate 0 then loses and
+/// whose replicas are derived a second time from the state that won.
+struct ReplicaSitesFireOnce;
+
+impl WorkloadVisitor for ReplicaSitesFireOnce {
+    type Output = ();
+    fn visit<W: Workload>(self, w: &W) {
+        const SEED: u64 = 0;
+        let cfg = Config::stats_only(8, 2, 1).with_breadth(2);
+        let inputs = w.generate_inputs(80, SEED);
+        let semantic = run_speculative(w, &inputs, cfg, SEED);
+        let with_successor = &semantic.chunks[..cfg.chunks - 1];
+        let hit = with_successor
+            .iter()
+            .position(|c| c.matched_candidate.is_some_and(|j| j > 0))
+            .expect("a chunk committed through candidate 1");
+        let aborted = with_successor
+            .iter()
+            .position(|c| c.aborted())
+            .expect("a chunk aborted");
+        let site = |boundary| FaultSite::Replica {
+            boundary,
+            replica: 0,
+        };
+        let plan = FaultPlan::new(
+            vec![
+                Injection {
+                    site: site(hit),
+                    kind: FaultKind::TaskPanic,
+                    fail_attempts: 2,
+                },
+                Injection {
+                    site: site(aborted),
+                    kind: FaultKind::LostResult,
+                    fail_attempts: 1,
+                },
+            ],
+            3,
+        )
+        .expect("valid plan");
+
+        let pool = WorkerPool::new(2);
+        let thr_sink = TelemetrySink::new(cfg.chunks);
+        let threaded =
+            run_threaded_faulted_on(&pool, w, &inputs, cfg, SEED, &plan, Some(&thr_sink));
+        let sim_sink = TelemetrySink::new(cfg.chunks);
+        let simulated = SimulatedRuntime::paper_machine()
+            .run_observed_faulted(
+                w.name(),
+                w,
+                &inputs,
+                cfg,
+                w.inner_parallelism(),
+                SEED,
+                &plan,
+                Some(&sim_sink),
+            )
+            .expect("simulated run");
+        assert_eq!(threaded.decisions, simulated.decisions);
+        assert_eq!(protocol_totals(&thr_sink), protocol_totals(&sim_sink));
+        let (thr, sim) = (thr_sink.snapshot(), sim_sink.snapshot());
+        for (counter, expected) in [
+            (Counter::FaultsInjected, 3),
+            (Counter::RetriesScheduled, 3),
+            (Counter::WorkersLost, 0),
+        ] {
+            assert_eq!(sim.get(counter), expected, "simulated {counter}");
+            assert_eq!(thr.get(counter), expected, "threaded {counter}");
+        }
+    }
+}
+
+#[test]
+fn replica_sites_fire_once_when_candidate_zero_loses() {
+    dispatch("bodytrack", ReplicaSitesFireOnce);
 }

@@ -13,13 +13,16 @@
 //!    never blocked on.
 //! 2. **Assemble** — after the run quiesces, [`WallProfile::assemble`]
 //!    drains the rings, sorts spans, and relabels the speculative
-//!    compute of aborted chunks to [`Category::AbortedCompute`] using
-//!    the run's decision vector (the capture path stays decision-blind).
+//!    compute of aborted chunks — and the replica replays a losing
+//!    candidate 0 made for the boundary it sealed — to
+//!    [`Category::AbortedCompute`] using the run's decision vector and
+//!    span order (the capture path stays decision-blind).
 //! 3. **Attribute** — [`WallProfile::attribute`] replays the captured
 //!    span graph through a small discrete-event model of the pool
-//!    (normal lane for chunk tasks, urgent lane for replicas/reruns,
-//!    ordered commits) and answers the paper's §V-B what-if questions by
-//!    re-scheduling with a category's measured durations zeroed. Waits
+//!    (normal lane for chunk tasks and the replicas they replay, urgent
+//!    lane for re-derived replicas and reruns, ordered commits) and
+//!    answers the paper's §V-B what-if questions by re-scheduling with
+//!    a category's measured durations zeroed. Waits
 //!    are *derived* by the re-scheduler, not taken from measured blocked
 //!    time — measured waits on an oversubscribed host mostly reflect
 //!    time-slicing, while measured *work* durations inflate roughly
@@ -415,6 +418,30 @@ pub struct WallProfile {
     pub dropped: u64,
 }
 
+/// Per chunk label `c`: when the commit check of chunk `c - 1` started
+/// (`u64::MAX` without one — chunk 0 is final unchecked). That check
+/// splits the `OriginalStateGen` spans labelled `c`: those before it were
+/// replayed inside chunk `c - 1`'s candidate-0 task, those after it were
+/// re-derived on the urgent lane once that chunk's outcome was final.
+fn seal_checks(spans: &[WallSpan], chunks: usize) -> Vec<u64> {
+    let mut checks = vec![u64::MAX; chunks];
+    for s in spans {
+        if s.category == Category::StateComparison {
+            if let Some(at) = checks.get_mut(s.chunk as usize + 1) {
+                *at = s.start_ns;
+            }
+        }
+    }
+    checks
+}
+
+/// For a replica replay, whether it ran before the commit check of
+/// [`seal_checks`] (`Some(true)`) or after it; `None` for any other span.
+fn replayed_early(s: &WallSpan, sealed: &[u64]) -> Option<bool> {
+    let check = *sealed.get(s.chunk as usize)?;
+    (s.category == Category::OriginalStateGen).then_some(s.start_ns < check)
+}
+
 impl WallProfile {
     /// Drain `profiler` and assemble a profile for a run that made the
     /// given per-chunk abort decisions and took `elapsed_ns` of wall
@@ -433,6 +460,15 @@ impl WallProfile {
     /// candidates — dead work, but not serial work); an aborted chunk
     /// relabels its first `breadth` spans (all attempts lost) and keeps
     /// the remainder — the rerun, possibly in several pool segments.
+    ///
+    /// Replica replays die with the attempt that made them. Candidate 0
+    /// of chunk `c` replays the replicas validating chunk `c + 1` (spans
+    /// labelled `c + 1`) before chunk `c` is validated; when it loses —
+    /// an abort, or a higher candidate winning — they are discarded and
+    /// replayed again after that validation. So wherever a label has
+    /// `OriginalStateGen` spans on both sides of the previous chunk's
+    /// `StateComparison` span, the early ones become `AbortedCompute` of
+    /// chunk `c`, whose attempt made them.
     pub fn assemble_with_breadth(
         profiler: &Profiler,
         aborted: Vec<bool>,
@@ -455,6 +491,19 @@ impl WallProfile {
                 if relabel {
                     s.category = Category::AbortedCompute;
                 }
+            }
+        }
+        let sealed = seal_checks(&spans, aborted.len());
+        let mut replayed_again = vec![false; aborted.len()];
+        for s in &spans {
+            if replayed_early(s, &sealed) == Some(false) {
+                replayed_again[s.chunk as usize] = true;
+            }
+        }
+        for s in &mut spans {
+            if replayed_early(s, &sealed) == Some(true) && replayed_again[s.chunk as usize] {
+                s.category = Category::AbortedCompute;
+                s.chunk -= 1;
             }
         }
         WallProfile {
@@ -658,9 +707,10 @@ impl WallProfile {
 
 /// Measured per-chunk durations extracted from a profile, in the shape
 /// the pooled executor schedules them: one normal-lane task per chunk
-/// (warmup + speculative copy + compute), urgent-lane replica tasks per
-/// boundary, coordinator-side comparison per seal, urgent reruns on
-/// abort.
+/// (warmup + speculative copy + compute + the replay of its boundary's
+/// replicas), urgent-lane replica tasks for a boundary that had to be
+/// replayed again, coordinator-side comparison per seal, urgent reruns
+/// on abort.
 #[derive(Debug, Clone)]
 struct DesModel {
     workers: usize,
@@ -671,6 +721,11 @@ struct DesModel {
     rerun: Vec<f64>,
     compare: Vec<f64>,
     coord_copy: Vec<f64>,
+    /// Per chunk: the replicas its own task replayed for the boundary it
+    /// sealed, serial after its compute.
+    replay_tail: Vec<f64>,
+    /// Per chunk: the replicas validating it that were re-derived as
+    /// urgent tasks after the previous chunk's outcome was final.
     replicas: Vec<Vec<f64>>,
     /// Per-chunk compute durations of breadth candidates that lost the
     /// commit check (and, on aborts, of every failed attempt). They run
@@ -713,11 +768,13 @@ impl DesModel {
             rerun: vec![0.0; chunks],
             compare: vec![0.0; chunks],
             coord_copy: vec![0.0; chunks],
+            replay_tail: vec![0.0; chunks],
             replicas: vec![Vec::new(); chunks],
             dead_candidates: vec![Vec::new(); chunks],
             aborted: profile.aborted.clone(),
             sync_per_seal: 0.0,
         };
+        let sealed = seal_checks(&profile.spans, chunks);
         let mut min_sync = f64::INFINITY;
         for s in &profile.spans {
             let c = (s.chunk as usize).min(chunks - 1);
@@ -740,7 +797,12 @@ impl DesModel {
                     }
                 }
                 Category::AbortedCompute => m.dead_candidates[c].push(d),
-                Category::OriginalStateGen => m.replicas[c].push(d),
+                Category::OriginalStateGen => match c.checked_sub(1) {
+                    Some(sealer) if replayed_early(s, &sealed) == Some(true) => {
+                        m.replay_tail[sealer] += d;
+                    }
+                    _ => m.replicas[c].push(d),
+                },
                 Category::StateComparison => m.compare[c] += d,
                 Category::Sync => min_sync = min_sync.min(d),
                 Category::Commit | Category::OutsideRegion => {}
@@ -803,7 +865,12 @@ impl DesModel {
                 };
                 (compute, &dead[..])
             };
-            main_ids.push(sim.enqueue_normal(share(c) + main_compute));
+            let replay_tail = if scenario.zero_replicas {
+                0.0
+            } else {
+                self.replay_tail[c]
+            };
+            main_ids.push(sim.enqueue_normal(share(c) + main_compute + replay_tail));
             extra_ids.push(
                 rest.iter()
                     .map(|&d| sim.enqueue_normal(share(c) + d))
@@ -812,8 +879,8 @@ impl DesModel {
         }
         let mut seal = setup;
         for c in 0..chunks {
-            // Replica tasks for this boundary went on the urgent lane
-            // the moment the previous chunk sealed.
+            // Replicas the previous chunk's task did not bring along
+            // went on the urgent lane the moment that chunk sealed.
             let replica_ids: Vec<usize> = self.replicas[c]
                 .iter()
                 .map(|&d| {
@@ -1054,17 +1121,27 @@ mod tests {
         p.record(Category::ChunkCompute, 0, 0, 100);
         p.record(Category::ChunkCompute, 1, 0, 90);
         p.record(Category::ChunkCompute, 1, 200, 290);
-        let profile = WallProfile::assemble(&p, vec![false, true], 300);
+        // Each attempt replays the replicas of the boundary it sealed
+        // (label = the chunk they validate). Chunk 1 was validated at
+        // 110: the replay its dead attempt made for chunk 2 is dead too.
+        p.record(Category::OriginalStateGen, 1, 100, 105);
+        p.record(Category::OriginalStateGen, 2, 90, 95);
+        p.record(Category::StateComparison, 1, 110, 115);
+        p.record(Category::OriginalStateGen, 2, 290, 295);
+        p.record(Category::ChunkCompute, 2, 0, 80);
+        let profile = WallProfile::assemble(&p, vec![false, true, false], 300);
         let aborted: Vec<_> = profile
             .spans
             .iter()
             .filter(|s| s.category == Category::AbortedCompute)
+            .map(|s| (s.chunk, s.end_ns))
             .collect();
-        assert_eq!(aborted.len(), 1);
-        assert_eq!(aborted[0].chunk, 1);
-        assert_eq!(aborted[0].end_ns, 90, "earliest attempt is the spec one");
+        // The earliest attempt of chunk 1 is the spec one; the replay it
+        // made for chunk 2 died with it.
+        assert_eq!(aborted, vec![(1, 90), (1, 95)]);
+        assert_eq!(profile.category_ns(Category::OriginalStateGen), 5 + 5);
         // Serial estimate counts committed compute + the rerun only.
-        assert_eq!(profile.serial_estimate_ns(), 100 + 90);
+        assert_eq!(profile.serial_estimate_ns(), 100 + 90 + 80);
     }
 
     /// A synthetic 2-worker profile: 4 chunks of 1000ns compute, 100ns
@@ -1173,6 +1250,29 @@ mod tests {
         // The ceiling equals baseline + the mispeculation marginal.
         let expect = a.projected + a.loss(WallLoss::Mispeculation);
         assert!((a.whatifs.mispeculation_free - expect).abs() < 1e-9);
+    }
+
+    #[test]
+    fn replicas_replayed_by_the_sealing_chunk_leave_the_commit_chain() {
+        // The synthetic profile re-derives every boundary's replica after
+        // the previous chunk's commit check, on the urgent lane.
+        let rederived = synthetic_profile(vec![false; 4]);
+        // The same replays made before that check instead: they ran
+        // inside the previous chunk's own task.
+        let mut carried = rederived.clone();
+        for s in &mut carried.spans {
+            if s.category == Category::OriginalStateGen {
+                s.start_ns -= 300;
+                s.end_ns -= 300;
+            }
+        }
+        let (rederived, carried) = (rederived.attribute(), carried.attribute());
+        assert!(
+            carried.projected > rederived.projected,
+            "no seal waits on a replica any more: {} vs {}",
+            carried.projected,
+            rederived.projected
+        );
     }
 
     #[test]
