@@ -640,8 +640,9 @@ fn check_pool_task_blocking_recv(file: &LexedFile) -> Vec<RawFinding> {
     let mut paren_depth = 0usize;
     // Paren depths at which a `spawn(...)` / `spawn_urgent(...)` argument
     // list opened: while the stack is non-empty we are lexically inside a
-    // task closure handed to the pool (or, in the baseline executor, to a
-    // scoped thread — its dedicated-OS-thread waits carry a waiver).
+    // task closure handed to the pool. A closure handed to a dedicated OS
+    // thread matches the same shape; ND007 already flags that spawn in a
+    // hot path, and a wait on such a thread needs a waiver saying so.
     let mut spawn_regions: Vec<usize> = Vec::new();
     for (i, t) in toks.iter().enumerate() {
         match t.kind {

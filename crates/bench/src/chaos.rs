@@ -18,15 +18,14 @@
 //!   [`FaultPlan::expected_totals`], and retries stay within
 //!   `injections × max_retries`.
 //!
-//! The library entry points are reused by `tests/fault_recovery.rs` at
-//! reduced scale; the `chaos` binary sweeps them at full scale and
-//! gates CI.
+//! `tests/fault_recovery.rs` runs the sweep at reduced scale and gates
+//! every cell and the coverage of all six injection kinds.
 
 use crate::pipeline::{tuned_config, Scale, FIGURE_SEED};
 use stats_core::runtime::pool::WorkerPool;
 use stats_core::runtime::simulated::SimulatedRuntime;
 use stats_core::runtime::threaded::{run_threaded_faulted_on, run_threaded_on};
-use stats_core::{plan_balanced, ChunkDecision, FaultPlan};
+use stats_core::{plan_balanced, FaultPlan};
 use stats_telemetry::{Counter, Snapshot, TelemetrySink};
 use stats_workloads::{Workload, WorkloadVisitor};
 
@@ -34,7 +33,8 @@ use stats_workloads::{Workload, WorkloadVisitor};
 /// width-oblivious; recovery must be too).
 pub const WIDTHS: [usize; 3] = [1, 2, 4];
 
-/// Protocol counters fault recovery must leave untouched.
+/// The deterministic protocol counters: neither fault recovery nor the
+/// profiler (`native_attribution`) may move them.
 pub const PROTOCOL: [Counter; 12] = [
     Counter::ChunksStarted,
     Counter::ChunksCommitted,
@@ -66,19 +66,6 @@ fn totals(snap: &Snapshot, counters: &[Counter]) -> Vec<u64> {
 pub struct ChaosCell {
     /// Pool width the faulted run executed on.
     pub width: usize,
-    /// Seed the fault plan was drawn from.
-    pub plan_seed: u64,
-    /// Injections the plan holds (sites are deduplicated, so this can
-    /// fall short of the requested count on tiny configurations).
-    pub planned: usize,
-    /// `FaultsInjected` the faulted run recorded.
-    pub injected: u64,
-    /// `RetriesScheduled` the faulted run recorded.
-    pub retries: u64,
-    /// `WorkersLost` the faulted run recorded.
-    pub workers_lost: u64,
-    /// Chunks the (identical) runs aborted.
-    pub aborts: u64,
     /// Faulted decisions equal fault-free decisions.
     pub decisions_match: bool,
     /// Faulted quality bits equal fault-free quality bits.
@@ -193,16 +180,6 @@ impl WorkloadVisitor for &ChaosSweep {
                 let reconciled = [PROTOCOL.as_slice(), FAULT_COUNTERS.as_slice()].concat();
                 cells.push(ChaosCell {
                     width,
-                    plan_seed,
-                    planned: plan.injections().len(),
-                    injected: snap.get(Counter::FaultsInjected),
-                    retries: snap.get(Counter::RetriesScheduled),
-                    workers_lost: snap.get(Counter::WorkersLost),
-                    aborts: faulted
-                        .decisions
-                        .iter()
-                        .filter(|d| **d == ChunkDecision::Aborted)
-                        .count() as u64,
                     decisions_match: faulted.decisions == clean.decisions
                         && faulted.decisions == sim.decisions,
                     quality_match: quality == clean_quality
@@ -237,7 +214,7 @@ pub struct ChaosGate {
 }
 
 /// All injection kinds, by stable name.
-pub const ALL_KINDS: [&str; 6] = [
+const ALL_KINDS: [&str; 6] = [
     "task_panic",
     "worker_death",
     "delayed_start",
@@ -267,10 +244,5 @@ impl ChaosGate {
             kinds_covered,
             full_coverage,
         }
-    }
-
-    /// The CI verdict.
-    pub fn pass(&self) -> bool {
-        self.all_ok && self.full_coverage
     }
 }

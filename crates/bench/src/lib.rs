@@ -21,12 +21,16 @@
 //! [`ablations`] adds the design-choice sweeps DESIGN.md calls out
 //! (sync-cost elasticity, state-copy acceleration, k/m/chunk trade-offs);
 //! [`scaling`] sweeps input size and core count (§I's headline claims);
-//! [`chaos`] differentially tests the fault-injection plane (recovery
-//! must be observationally invisible — DESIGN.md §15).
+//! [`chaos`] differentially tests the fault-injection plane for
+//! `tests/fault_recovery.rs` (recovery must be observationally
+//! invisible — DESIGN.md §15).
 //! The measurement machinery lives in [`attribution`]: the post-mortem
 //! what-if analysis of §V-B ("we emulate the parallel execution removing
 //! only the part of the overhead targeted that is in the critical path",
-//! after \[26\]).
+//! after \[26\]); [`native_attribution`] answers the same question in
+//! wall time for the pooled threaded runtime (`stats profile`).
+//! Wall-clock speedup over the sequential program is measured by the
+//! repo benchmark (`benchmark/`), not here.
 
 pub mod ablations;
 pub mod attribution;

@@ -36,6 +36,7 @@
 //!   workers, which CI never guarantees.
 
 use crate::attribution::{attribute, LossBreakdown, LossCategory};
+use crate::chaos::PROTOCOL;
 use crate::pipeline::{tuned_config, Scale};
 use stats_core::config::Config;
 use stats_core::fault::FaultPlan;
@@ -97,8 +98,9 @@ pub struct ProfileReport {
     /// See [`ProfileReport::whatif_sync_free`]: projected speedup if no
     /// chunk had mispeculated (the ceiling a breadth > 1 run chases).
     pub whatif_mispeculation_free: Estimate,
-    /// Whether decisions/outputs with profiling on matched a
-    /// profiling-off run bit-for-bit (first seed).
+    /// Whether decisions, outputs and the deterministic protocol
+    /// counters with profiling on matched a counters-only run
+    /// bit-for-bit (first seed).
     pub parity: bool,
     /// Fault-plane observations when the runs carried a fault plan
     /// (`None` for fault-free profiles).
@@ -123,8 +125,7 @@ impl ProfileReport {
             .collect()
     }
 
-    /// Serialize as one JSON object (used by `--format json` and the
-    /// `native_profile` bench artifact).
+    /// Serialize as one JSON object (used by `stats profile --format json`).
     pub fn to_json(&self) -> String {
         let est = |e: &Estimate| format!("{{\"mean\":{:.6},\"ci\":{:.6}}}", e.mean, e.half_width);
         let mut losses = String::from("{");
@@ -174,7 +175,8 @@ impl ProfileReport {
 
 /// Profile `workload` on `pool` over `seeds`, attributing each run and
 /// aggregating per Touati. The first seed is additionally run *without*
-/// the profiler to assert decisions/outputs are unchanged by profiling.
+/// the profiler to assert decisions, outputs and protocol counters are
+/// unchanged by profiling.
 pub fn profile_workload<W: Workload>(
     w: &W,
     pool: &WorkerPool,
@@ -235,14 +237,22 @@ pub fn profile_workload_faulted<W: Workload>(
             elapsed_ns,
         );
         if i == 0 {
-            // Profiling must be observation-only: a profiler-free run
-            // with the same seed (and the same plan) must decide and
-            // produce identically.
-            let bare = run_threaded_faulted_on(pool, w, &inputs, cfg, seed, faults, None);
+            // Profiling must be observation-only: a counters-only run
+            // with the same seed (and the same plan) must decide,
+            // produce and count identically. Time counters are wall
+            // clock and excluded.
+            let bare_sink = TelemetrySink::new(cfg.chunks.max(1));
+            let bare =
+                run_threaded_faulted_on(pool, w, &inputs, cfg, seed, faults, Some(&bare_sink));
+            let protocol = |sink: &TelemetrySink| {
+                let snap = sink.snapshot();
+                PROTOCOL.map(|c| snap.get(c))
+            };
             parity = bare.decisions == run.decisions
                 && bare.outputs.len() == run.outputs.len()
                 && w.quality(&inputs, &bare.outputs).to_bits()
-                    == w.quality(&inputs, &run.outputs).to_bits();
+                    == w.quality(&inputs, &run.outputs).to_bits()
+                && protocol(&bare_sink) == protocol(&sink);
             first_profile = Some(profile.clone());
             if !faults.injections().is_empty() {
                 let snap = sink.snapshot();

@@ -8,8 +8,8 @@
 //! * [`threaded`] — the same protocol on real OS threads (a persistent
 //!   [`pool`] of workers draining chunk/replica/rerun tasks), used to
 //!   validate that the model is executable and that its commit/abort
-//!   decisions match the simulator's exactly — and, via `native_scaling`,
-//!   to measure how the model scales on real hardware.
+//!   decisions match the simulator's exactly. The repo benchmark
+//!   (`benchmark/`) measures its wall-clock speedup over [`sequential`].
 //! * [`pool`] — the worker pool underneath the threaded executor: scoped
 //!   task spawning, an urgent lane for commit-critical work, and a state
 //!   free-list.

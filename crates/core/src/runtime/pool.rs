@@ -167,12 +167,13 @@ impl WorkerPool {
     /// # Lifetime rule
     ///
     /// Entry points that don't take an explicit pool (e.g.
-    /// `run_threaded_observed`) borrow this one instead of constructing a
-    /// throwaway pool per call — pool construction spawns OS threads, and
-    /// paying that on every run dwarfs the work of small runs. The shared
-    /// pool is never dropped: its workers park on a condvar when idle
-    /// (zero CPU) and the OS reclaims them at process exit. Callers that
-    /// need a *specific* width (CLI `--workers`, scaling benches) should
+    /// [`crate::runtime::threaded::run_threaded`]) borrow this one instead
+    /// of constructing a throwaway pool per call — pool construction
+    /// spawns OS threads, and paying that on every run dwarfs the work of
+    /// small runs. The shared pool is never dropped: its workers park on a
+    /// condvar when idle (zero CPU) and the OS reclaims them at process
+    /// exit. Callers that need a *specific* width (CLI `--workers`, the
+    /// repo benchmark) should
     /// build one `WorkerPool::new(n)` per invocation and thread it through
     /// the `*_on` entry points; never construct a pool inside a per-run
     /// helper.

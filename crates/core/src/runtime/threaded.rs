@@ -4,12 +4,10 @@
 //! [`WorkerPool`]: chunks, original-state replicas and aborted-chunk
 //! reruns are *queued tasks* rather than dedicated threads, so
 //! `chunks ≫ cores` configurations (the paper sweeps up to 28×4 chunks)
-//! no longer oversubscribe the OS scheduler or pay thread-creation
+//! neither oversubscribe the OS scheduler nor pay thread-creation
 //! latency on the commit path.
 //!
-//! Three structural optimizations over the naive thread-per-chunk
-//! lowering (kept as [`run_threaded_per_chunk`] for comparison — the
-//! `native_scaling` bench measures both):
+//! Three structural choices:
 //!
 //! * **Pooled chunks** — every chunk is a task on a fixed-width pool
 //!   (default [`crate::runtime::pool::default_workers`]); tasks never
@@ -36,7 +34,13 @@
 //! commit/abort decisions and produces *identical* outputs to the
 //! simulated runtime for the same `(workload, inputs, config, seed)` —
 //! property-tested in the crate's test suite and in
-//! `tests/oversubscription.rs` across all six benchmarks.
+//! `tests/oversubscription.rs` across all six benchmarks. Its wall-clock
+//! speedup over the sequential program is measured by the repo benchmark
+//! (`benchmark/run.sh`).
+//!
+//! Three entry points: [`run_threaded`] on the process-wide shared pool,
+//! [`run_threaded_on`] on a caller's pool with optional telemetry, and
+//! [`run_threaded_faulted_on`] under a fault plan.
 
 use crate::config::Config;
 use crate::dependence::StateDependence;
@@ -101,8 +105,7 @@ pub struct ThreadedRun<O> {
     /// Wall-clock time of the parallel region (host-dependent; informative
     /// only — all figures use the deterministic simulated runtime).
     pub elapsed: Duration,
-    /// Worker parallelism the run executed with: pool width for the
-    /// pooled executor, chunk count for the thread-per-chunk baseline.
+    /// Width of the pool the run executed on.
     pub workers: usize,
 }
 
@@ -548,8 +551,9 @@ fn spawn_chunk_candidate<'scope, 'env, W>(
     }
 }
 
-/// Run the STATS protocol on real threads (a transient worker pool sized
-/// by [`crate::runtime::pool::default_workers`]).
+/// Run the STATS protocol on real threads, on the process-wide
+/// [`WorkerPool::shared`] pool (see its lifetime rule), without
+/// telemetry.
 ///
 /// # Panics
 ///
@@ -564,10 +568,20 @@ pub fn run_threaded<W>(
 where
     W: StateDependence + Sync,
 {
-    run_threaded_observed(workload, inputs, config, master_seed, None)
+    run_threaded_on(
+        WorkerPool::shared(),
+        workload,
+        inputs,
+        config,
+        master_seed,
+        None,
+    )
 }
 
-/// [`run_threaded`] with live telemetry.
+/// [`run_threaded`] on a caller-provided pool, with optional live
+/// telemetry. Reuse one pool across runs to amortize thread creation
+/// (the CLI's `--workers N` goes through here); runs leave no state
+/// behind in the pool.
 ///
 /// When `telemetry` is given, tasks record protocol counters into it
 /// lock-free while the run is in flight (chunk lifecycle, state copies,
@@ -575,38 +589,6 @@ where
 /// structured events if the sink carries an event log. Recording points
 /// match the semantic layer exactly, so a quiesced snapshot reconciles
 /// with [`crate::speculation::run_speculative`] for the same seed.
-///
-/// Executes on the process-wide [`WorkerPool::shared`] pool (see its
-/// lifetime rule); pass a pool to [`run_threaded_on`] to control width.
-///
-/// # Panics
-///
-/// Panics if `config` is invalid for `inputs.len()` or a pool task
-/// panics (workload `update` panicked).
-pub fn run_threaded_observed<W>(
-    workload: &W,
-    inputs: &[W::Input],
-    config: Config,
-    master_seed: u64,
-    telemetry: Option<&TelemetrySink>,
-) -> ThreadedRun<W::Output>
-where
-    W: StateDependence + Sync,
-{
-    run_threaded_on(
-        WorkerPool::shared(),
-        workload,
-        inputs,
-        config,
-        master_seed,
-        telemetry,
-    )
-}
-
-/// [`run_threaded_observed`] on a caller-provided pool. Reuse one pool
-/// across runs to amortize thread creation (the CLI's `--workers N` and
-/// the `native_scaling` bench go through here); runs leave no state
-/// behind in the pool.
 ///
 /// # Panics
 ///
@@ -623,91 +605,11 @@ pub fn run_threaded_on<W>(
 where
     W: StateDependence + Sync,
 {
-    config
-        .validate(inputs.len())
-        .expect("invalid configuration for input length");
-    let plan = plan_balanced(inputs.len(), config.chunks);
-    run_threaded_planned_on(pool, workload, inputs, config, plan, master_seed, telemetry)
-}
-
-/// [`run_threaded`] with an explicit chunk plan (parity with
-/// [`crate::speculation::run_speculative_planned`]).
-///
-/// # Panics
-///
-/// Panics if the plan does not match the configuration or a pool task
-/// panics.
-pub fn run_threaded_planned<W>(
-    workload: &W,
-    inputs: &[W::Input],
-    config: Config,
-    plan: ChunkPlan,
-    master_seed: u64,
-) -> ThreadedRun<W::Output>
-where
-    W: StateDependence + Sync,
-{
-    run_threaded_planned_observed(workload, inputs, config, plan, master_seed, None)
-}
-
-/// [`run_threaded_planned`] with live telemetry (see
-/// [`run_threaded_observed`] for what gets recorded). Executes on the
-/// process-wide [`WorkerPool::shared`] pool.
-///
-/// # Panics
-///
-/// Panics if the plan does not match the configuration or a pool task
-/// panics.
-pub fn run_threaded_planned_observed<W>(
-    workload: &W,
-    inputs: &[W::Input],
-    config: Config,
-    plan: ChunkPlan,
-    master_seed: u64,
-    telemetry: Option<&TelemetrySink>,
-) -> ThreadedRun<W::Output>
-where
-    W: StateDependence + Sync,
-{
-    run_threaded_planned_on(
-        WorkerPool::shared(),
-        workload,
-        inputs,
-        config,
-        plan,
-        master_seed,
-        telemetry,
-    )
-}
-
-/// [`run_threaded_planned_observed`] on a caller-provided pool, with no
-/// faults injected — a thin wrapper threading the empty plan through
-/// [`run_threaded_planned_faulted_on`], bit-identical to the pre-fault
-/// executor.
-///
-/// # Panics
-///
-/// Panics if the plan does not match the configuration or a pool task
-/// panics.
-#[allow(clippy::too_many_arguments)]
-pub fn run_threaded_planned_on<W>(
-    pool: &WorkerPool,
-    workload: &W,
-    inputs: &[W::Input],
-    config: Config,
-    plan: ChunkPlan,
-    master_seed: u64,
-    telemetry: Option<&TelemetrySink>,
-) -> ThreadedRun<W::Output>
-where
-    W: StateDependence + Sync,
-{
-    run_threaded_planned_faulted_on(
+    run_threaded_faulted_on(
         pool,
         workload,
         inputs,
         config,
-        plan,
         master_seed,
         &NO_FAULTS,
         telemetry,
@@ -755,16 +657,17 @@ where
     )
 }
 
-/// The pooled, pipelined executor: every other `run_threaded_*` entry
-/// point lowers to this function, non-faulted callers via the empty
-/// plan.
+/// The pooled, pipelined executor every public entry point lowers to,
+/// over an explicit chunk plan (parity with
+/// [`crate::speculation::run_speculative_planned`]); non-faulted callers
+/// pass the empty plan.
 ///
 /// # Panics
 ///
 /// Panics if the plan does not match the configuration, a pool task
 /// panics, or `faults` exhausts its retry bound.
 #[allow(clippy::too_many_arguments)]
-pub fn run_threaded_planned_faulted_on<W>(
+fn run_threaded_planned_faulted_on<W>(
     pool: &WorkerPool,
     workload: &W,
     inputs: &[W::Input],
@@ -1296,402 +1199,6 @@ where
     }
 }
 
-/// The pre-pool lowering: one OS thread per chunk, scoped threads per
-/// replica batch, verdict channels parking every worker on the
-/// coordinator. Kept as the measurement baseline for the `native_scaling`
-/// bench (it is what the pooled executor is compared against) — new code
-/// should use [`run_threaded`].
-///
-/// # Panics
-///
-/// Panics if `config` is invalid for `inputs.len()` or a worker thread
-/// panics (workload `update` panicked).
-pub fn run_threaded_per_chunk<W>(
-    workload: &W,
-    inputs: &[W::Input],
-    config: Config,
-    master_seed: u64,
-) -> ThreadedRun<W::Output>
-where
-    W: StateDependence + Sync,
-{
-    run_threaded_per_chunk_observed(workload, inputs, config, master_seed, None)
-}
-
-/// What the coordinator tells a thread-per-chunk worker after validating
-/// its speculation.
-enum Verdict<S> {
-    Commit,
-    Abort(Box<S>),
-}
-
-/// [`run_threaded_per_chunk`] with live telemetry; records the same
-/// protocol counters as the pooled executor plus worker idle time (the
-/// pooled path has no verdict wait to measure).
-///
-/// # Panics
-///
-/// Panics if `config` is invalid for `inputs.len()` or a worker thread
-/// panics (workload `update` panicked).
-pub fn run_threaded_per_chunk_observed<W>(
-    workload: &W,
-    inputs: &[W::Input],
-    config: Config,
-    master_seed: u64,
-    telemetry: Option<&TelemetrySink>,
-) -> ThreadedRun<W::Output>
-where
-    W: StateDependence + Sync,
-{
-    config
-        .validate(inputs.len())
-        .expect("invalid configuration for input length");
-    // The baseline predates breadth speculation and is kept only as the
-    // pooled executor's measurement comparison point; it would silently
-    // diverge from the semantic layer at higher breadths.
-    assert_eq!(
-        config.spec_breadth, 1,
-        "thread-per-chunk baseline supports breadth 1 only"
-    );
-    let plan = plan_balanced(inputs.len(), config.chunks);
-    let chunks = plan.len();
-    let k = config.lookback;
-    let m = config.extra_states;
-    let strategy = config.snapshot;
-    let state_bytes = workload.state_bytes() as u64;
-    // Dead states are recycled through the same free-list the pooled
-    // executor uses, so replica clones reuse their allocations.
-    let states: StatePool<W::State> = StatePool::with_capacity(m + 2);
-    let start_ns = monotonic_ns();
-
-    // Channels: worker -> coordinator results, coordinator -> worker
-    // verdicts, worker -> coordinator rerun results.
-    let mut result_rx = Vec::with_capacity(chunks);
-    let mut verdict_tx = Vec::with_capacity(chunks);
-    let mut rerun_rx = Vec::with_capacity(chunks);
-    let mut worker_ends = Vec::with_capacity(chunks);
-    for _ in 0..chunks {
-        let (rtx, rrx) = bounded::<WorkerResult<W::State, W::Output>>(1);
-        let (vtx, vrx) = bounded::<Verdict<W::State>>(1);
-        let (xtx, xrx) = bounded::<WorkerResult<W::State, W::Output>>(1);
-        result_rx.push(rrx);
-        verdict_tx.push(vtx);
-        rerun_rx.push(xrx);
-        worker_ends.push((rtx, vrx, xtx));
-    }
-
-    let mut decisions = vec![ChunkDecision::First; chunks];
-    let mut outputs_per_chunk: Vec<Vec<W::Output>> = Vec::with_capacity(chunks);
-
-    // stats-analyzer: allow(ND007): thread-per-chunk baseline, kept as the native_scaling comparison point
-    std::thread::scope(|scope| {
-        // ---- workers ------------------------------------------------------
-        for (c, (rtx, vrx, xtx)) in worker_ends.into_iter().enumerate() {
-            let range = plan.chunk(c);
-            scope.spawn(move || {
-                let busy_start = monotonic_ns();
-                if let Some(t) = telemetry {
-                    t.incr(c, Counter::ChunksStarted);
-                    t.event(&Event::ChunkStarted {
-                        chunk: c,
-                        len: range.len(),
-                    });
-                }
-                let (spec_state, start_state) = if c == 0 {
-                    (None, workload.fresh_state())
-                } else {
-                    let mut rng = StatsRng::derive(master_seed, StreamRole::AltProducer(c));
-                    let mut st = workload.fresh_state();
-                    for input in &inputs[range.start - k..range.start] {
-                        workload.update(&mut st, input, &mut rng);
-                    }
-                    // Speculative-state hand-off to the coordinator (Fig. 6).
-                    if let Some(t) = telemetry {
-                        t.incr(c, Counter::SpecCandidates);
-                        t.incr(c, Counter::StateCopies);
-                        t.add(c, Counter::StateBytesLogical, state_bytes);
-                        t.add(
-                            c,
-                            Counter::StateBytesCopied,
-                            workload.snapshot_copy_bytes(strategy),
-                        );
-                    }
-                    let spec = workload.snapshot_state(&mut st, strategy);
-                    (Some(spec), st)
-                };
-                let mut rng = StatsRng::derive(master_seed, StreamRole::Chunk(c));
-                let run = run_segment(
-                    workload,
-                    start_state,
-                    inputs,
-                    range.clone(),
-                    k,
-                    strategy,
-                    &mut rng,
-                );
-                if let Some(t) = telemetry {
-                    t.add(c, Counter::StateBytesCopied, run.materialized);
-                    t.add(c, Counter::BusyTime, ns_since(busy_start));
-                    t.queue_enter();
-                }
-                rtx.send(WorkerResult {
-                    spec_state,
-                    outputs: run.outputs,
-                    snapshot: Some(run.snapshot),
-                    final_state: run.final_state,
-                    replicas: None,
-                })
-                .expect("coordinator alive");
-                let idle_start = monotonic_ns();
-                // stats-analyzer: allow(ND014): thread-per-chunk baseline uses dedicated OS threads, not pool workers
-                match vrx.recv().expect("coordinator alive") {
-                    Verdict::Commit => {
-                        if let Some(t) = telemetry {
-                            t.add(c, Counter::IdleTime, ns_since(idle_start));
-                        }
-                    }
-                    Verdict::Abort(true_state) => {
-                        let rerun_start = monotonic_ns();
-                        if let Some(t) = telemetry {
-                            t.add(c, Counter::IdleTime, ns_since(idle_start));
-                            t.incr(c, Counter::Reruns);
-                            // The baseline never overlaps recovery: every
-                            // rerun is one physical segment.
-                            t.incr(c, Counter::RerunSegments);
-                        }
-                        let mut rng = StatsRng::derive(master_seed, StreamRole::Rerun(c));
-                        let rerun = run_segment(
-                            workload,
-                            *true_state,
-                            inputs,
-                            range,
-                            k,
-                            strategy,
-                            &mut rng,
-                        );
-                        if let Some(t) = telemetry {
-                            t.add(c, Counter::StateBytesCopied, rerun.materialized);
-                            t.add(c, Counter::BusyTime, ns_since(rerun_start));
-                            t.event(&Event::RerunSegmentFinished {
-                                chunk: c,
-                                segment: 0,
-                            });
-                        }
-                        xtx.send(WorkerResult {
-                            spec_state: None,
-                            outputs: rerun.outputs,
-                            snapshot: Some(rerun.snapshot),
-                            final_state: rerun.final_state,
-                            replicas: None,
-                        })
-                        .expect("coordinator alive");
-                        if let Some(t) = telemetry {
-                            t.event(&Event::RerunFinished { chunk: c });
-                        }
-                    }
-                }
-            });
-        }
-
-        // ---- coordinator: sequential-order commit checks -------------------
-        let mut prev_final: Option<W::State> = None;
-        let mut prev_snapshot: Option<W::State> = None;
-        for c in 0..chunks {
-            let result = result_rx[c].recv().expect("worker alive");
-            if let Some(t) = telemetry {
-                t.queue_leave();
-            }
-            if c == 0 {
-                decisions[0] = ChunkDecision::First;
-                verdict_tx[0].send(Verdict::Commit).expect("worker alive");
-                prev_final = Some(result.final_state);
-                prev_snapshot = result.snapshot;
-                outputs_per_chunk.push(result.outputs);
-                continue;
-            }
-            let mut result = result;
-            let pf = prev_final.take().expect("previous final state");
-            let mut snapshot = prev_snapshot.take().expect("previous snapshot");
-            // Generate the m extra original states in parallel (Fig. 5).
-            let prev_range = plan.chunk(c - 1);
-            let replay_start = prev_range.end.saturating_sub(k).max(prev_range.start);
-            let mut replica_states: Vec<Option<W::State>> = Vec::new();
-            // stats-analyzer: allow(ND007): thread-per-chunk baseline, kept as the native_scaling comparison point
-            std::thread::scope(|rep_scope| {
-                let handles: Vec<_> = (0..m.saturating_sub(1))
-                    .map(|j| {
-                        // Deep clones reuse dead allocations through the
-                        // free-list; cow snapshots are O(1) forks.
-                        let snap = match strategy {
-                            SnapshotStrategy::DeepClone => states.copy_of(&snapshot),
-                            SnapshotStrategy::CopyOnWrite => {
-                                workload.snapshot_state(&mut snapshot, strategy)
-                            }
-                        };
-                        let replay = replay_start..prev_range.end;
-                        rep_scope.spawn(move || {
-                            let mut rng = StatsRng::derive(
-                                master_seed,
-                                StreamRole::OriginalState {
-                                    chunk: c - 1,
-                                    replica: j,
-                                },
-                            );
-                            let mut st = snap;
-                            for idx in replay {
-                                workload.update(&mut st, &inputs[idx], &mut rng);
-                            }
-                            st
-                        })
-                    })
-                    .collect();
-                // The final replica takes the snapshot by move — it is the
-                // last reader, so no clone is needed; the protocol still
-                // materializes m states (counted below).
-                let last = (m > 0).then(|| {
-                    let j = m - 1;
-                    let replay = replay_start..prev_range.end;
-                    rep_scope.spawn(move || {
-                        let mut rng = StatsRng::derive(
-                            master_seed,
-                            StreamRole::OriginalState {
-                                chunk: c - 1,
-                                replica: j,
-                            },
-                        );
-                        let mut st = snapshot;
-                        for idx in replay {
-                            workload.update(&mut st, &inputs[idx], &mut rng);
-                        }
-                        st
-                    })
-                });
-                for h in handles {
-                    replica_states.push(Some(h.join().expect("replica thread")));
-                }
-                if let Some(h) = last {
-                    replica_states.push(Some(h.join().expect("replica thread")));
-                }
-            });
-            // Replica fault bytes are drained before the states are
-            // compared and recycled, exactly once per replica.
-            let mut replica_fault_bytes = 0u64;
-            for st in replica_states.iter_mut().flatten() {
-                replica_fault_bytes += workload.take_materialized(st);
-            }
-            if let Some(t) = telemetry {
-                // One state materialization feeds each replica.
-                t.add(c, Counter::ReplicasValidated, m as u64);
-                t.add(c, Counter::StateCopies, m as u64);
-                t.add(c, Counter::StateBytesLogical, m as u64 * state_bytes);
-                t.add(
-                    c,
-                    Counter::StateBytesCopied,
-                    m as u64 * workload.snapshot_copy_bytes(strategy) + replica_fault_bytes,
-                );
-            }
-            // Ordered comparison: producer's own final state first, then
-            // replicas — identical order to the semantic layer.
-            let spec_state = result.spec_state.as_ref().expect("speculative chunk");
-            let mut comparisons = 1u64;
-            let mut matched: Option<usize> = workload.states_match(spec_state, &pf).then_some(0);
-            for (j, st) in replica_states.iter().flatten().enumerate() {
-                if matched.is_some() {
-                    break;
-                }
-                comparisons += 1;
-                if workload.states_match(spec_state, st) {
-                    matched = Some(j + 1);
-                }
-            }
-            if let Some(t) = telemetry {
-                t.add(c, Counter::StateComparisons, comparisons);
-                t.event(&Event::ValidationFinished {
-                    chunk: c,
-                    comparisons,
-                    matched_original: matched,
-                });
-            }
-            let spec_state = result.spec_state.take();
-            if let Some(original) = matched {
-                decisions[c] = ChunkDecision::Committed;
-                if let Some(t) = telemetry {
-                    t.incr(c, Counter::ChunksCommitted);
-                    t.event(&Event::ChunkCommitted { chunk: c });
-                    // Breadth-1 semantics: the sole candidate is the winner.
-                    t.event(&Event::CandidateCommitted {
-                        chunk: c,
-                        candidate: 0,
-                        original,
-                    });
-                }
-                verdict_tx[c].send(Verdict::Commit).expect("worker alive");
-                // The superseded original state is dead; recycle it.
-                states.recycle(pf);
-                prev_final = Some(result.final_state);
-                prev_snapshot = result.snapshot;
-                outputs_per_chunk.push(result.outputs);
-            } else {
-                decisions[c] = ChunkDecision::Aborted;
-                if let Some(t) = telemetry {
-                    // True-state transfer to the aborted worker.
-                    t.incr(c, Counter::ChunksAborted);
-                    t.incr(c, Counter::StateCopies);
-                    t.add(c, Counter::StateBytesLogical, state_bytes);
-                    t.add(
-                        c,
-                        Counter::StateBytesCopied,
-                        workload.snapshot_copy_bytes(strategy),
-                    );
-                    t.event(&Event::ChunkAborted { chunk: c });
-                }
-                verdict_tx[c]
-                    .send(Verdict::Abort(Box::new(pf)))
-                    .expect("worker alive");
-                let rerun = rerun_rx[c].recv().expect("worker alive");
-                // The rejected speculative results are dead; recycle them.
-                states.recycle(result.final_state);
-                if let Some(st) = result.snapshot {
-                    states.recycle(st);
-                }
-                prev_final = Some(rerun.final_state);
-                prev_snapshot = rerun.snapshot;
-                outputs_per_chunk.push(rerun.outputs);
-            }
-            // The compared speculative and replica states are dead after
-            // validation; feed the next boundary's clones from them (the
-            // same lifetime rule as the pooled executor, DESIGN.md §9).
-            if let Some(st) = spec_state {
-                states.recycle(st);
-            }
-            for st in replica_states.into_iter().flatten() {
-                states.recycle(st);
-            }
-        }
-    });
-
-    if let Some(t) = telemetry {
-        t.event(&Event::RunFinished {
-            committed: decisions
-                .iter()
-                .filter(|d| **d == ChunkDecision::Committed)
-                .count(),
-            aborted: decisions
-                .iter()
-                .filter(|d| **d == ChunkDecision::Aborted)
-                .count(),
-            workers: chunks,
-        });
-        t.flush();
-    }
-    ThreadedRun {
-        outputs: outputs_per_chunk.into_iter().flatten().collect(),
-        decisions,
-        elapsed: Duration::from_nanos(ns_since(start_ns)),
-        workers: chunks,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1788,7 +1295,16 @@ mod tests {
         let cfg = Config::stats_only(5, 10, 1);
         let plan = plan_weighted(200, 5, |i| 1 + (i % 3) as u64);
         let semantic = run_speculative_planned(&w, &ins, cfg, plan.clone(), 4);
-        let threaded = run_threaded_planned(&w, &ins, cfg, plan, 4);
+        let threaded = run_threaded_planned_faulted_on(
+            WorkerPool::shared(),
+            &w,
+            &ins,
+            cfg,
+            plan,
+            4,
+            &NO_FAULTS,
+            None,
+        );
         assert_eq!(threaded.outputs, semantic.outputs);
         assert_eq!(
             threaded.decisions,
@@ -1827,21 +1343,6 @@ mod tests {
     }
 
     #[test]
-    fn per_chunk_baseline_matches_pooled_executor() {
-        let w = Ema {
-            decay: 0.999,
-            tolerance: 1e-6,
-        };
-        let ins = inputs(200);
-        let cfg = Config::stats_only(5, 8, 2);
-        let pooled = run_threaded(&w, &ins, cfg, 11);
-        let baseline = run_threaded_per_chunk(&w, &ins, cfg, 11);
-        assert_eq!(baseline.workers, cfg.chunks);
-        assert_eq!(pooled.outputs, baseline.outputs);
-        assert_eq!(pooled.decisions, baseline.decisions);
-    }
-
-    #[test]
     fn observed_counters_match_semantic_outcome() {
         let w = Ema {
             decay: 0.999,
@@ -1850,7 +1351,7 @@ mod tests {
         let ins = inputs(128);
         let cfg = Config::stats_only(4, 4, 2);
         let sink = TelemetrySink::new(cfg.chunks);
-        let threaded = run_threaded_observed(&w, &ins, cfg, 7, Some(&sink));
+        let threaded = run_threaded_on(WorkerPool::shared(), &w, &ins, cfg, 7, Some(&sink));
         let semantic = run_speculative(&w, &ins, cfg, 7);
         let snap = sink.snapshot();
         assert!(snap.consistent, "quiesced snapshot must be consistent");
@@ -1913,41 +1414,6 @@ mod tests {
     }
 
     #[test]
-    fn per_chunk_observed_counters_match_pooled() {
-        // The baseline's counters must stay in lockstep with the pooled
-        // executor's (and therefore with the semantic layer's formulas) —
-        // including StateCopies after the final-replica move fix.
-        let w = Ema {
-            decay: 0.999,
-            tolerance: 1e-6,
-        };
-        let ins = inputs(128);
-        let cfg = Config::stats_only(4, 4, 2);
-        let pooled_sink = TelemetrySink::new(cfg.chunks);
-        let baseline_sink = TelemetrySink::new(cfg.chunks);
-        run_threaded_observed(&w, &ins, cfg, 7, Some(&pooled_sink));
-        run_threaded_per_chunk_observed(&w, &ins, cfg, 7, Some(&baseline_sink));
-        let p = pooled_sink.snapshot();
-        let b = baseline_sink.snapshot();
-        for c in [
-            Counter::ChunksStarted,
-            Counter::ChunksCommitted,
-            Counter::ChunksAborted,
-            Counter::Reruns,
-            Counter::RerunSegments,
-            Counter::SpecCandidates,
-            Counter::CandidateHits,
-            Counter::ReplicasValidated,
-            Counter::StateCopies,
-            Counter::StateComparisons,
-            Counter::StateBytesLogical,
-            Counter::StateBytesCopied,
-        ] {
-            assert_eq!(p.get(c), b.get(c), "counter {c:?} diverged");
-        }
-    }
-
-    #[test]
     fn observed_event_log_records_lifecycle() {
         use std::sync::{Arc, Mutex};
 
@@ -1971,7 +1437,7 @@ mod tests {
         let cfg = Config::stats_only(4, 4, 1);
         let buf = Buf::default();
         let sink = TelemetrySink::new(cfg.chunks).with_event_writer(Box::new(buf.clone()));
-        let run = run_threaded_observed(&w, &ins, cfg, 7, Some(&sink));
+        let run = run_threaded_on(WorkerPool::shared(), &w, &ins, cfg, 7, Some(&sink));
         assert!(run.aborts() > 0, "this setup must abort");
 
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
@@ -2057,7 +1523,7 @@ mod tests {
         let ins = inputs(128);
         let cfg = Config::stats_only(4, 4, 2).with_overlap(true);
         let sink = TelemetrySink::new(cfg.chunks);
-        let threaded = run_threaded_observed(&w, &ins, cfg, 7, Some(&sink));
+        let threaded = run_threaded_on(WorkerPool::shared(), &w, &ins, cfg, 7, Some(&sink));
         let semantic = run_speculative(&w, &ins, cfg, 7);
         assert!(threaded.aborts() > 0, "this setup must abort");
         assert_eq!(threaded.outputs, semantic.outputs);
@@ -2111,7 +1577,7 @@ mod tests {
         let b = 3usize;
         let cfg = Config::stats_only(4, 4, 2).with_breadth(b);
         let sink = TelemetrySink::new(cfg.chunks);
-        let threaded = run_threaded_observed(&w, &ins, cfg, 7, Some(&sink));
+        let threaded = run_threaded_on(WorkerPool::shared(), &w, &ins, cfg, 7, Some(&sink));
         let semantic = run_speculative(&w, &ins, cfg, 7);
         assert_eq!(threaded.outputs, semantic.outputs);
         let snap = sink.snapshot();
@@ -2253,7 +1719,7 @@ mod tests {
             let sink = TelemetrySink::new(cfg.chunks);
             let semantic = run_speculative(&w, &ins, cfg, 7);
             let (run, built, leaked) =
-                probed(|| run_threaded_observed(&w, &ins, cfg, 7, Some(&sink)));
+                probed(|| run_threaded_on(WorkerPool::shared(), &w, &ins, cfg, 7, Some(&sink)));
             assert_eq!(built, 0, "{cfg:?}");
             assert_eq!(leaked, 0, "{cfg:?}");
             assert_eq!(run.outputs, semantic.outputs, "{cfg:?}");

@@ -112,8 +112,8 @@ pub enum Event {
         /// Aborted chunk count.
         aborted: usize,
         /// Worker parallelism the run executed with: pool width for the
-        /// pooled threaded runtime, chunk count for thread-per-chunk and
-        /// for the simulated lowering (one virtual worker per chunk).
+        /// threaded runtime, chunk count for the simulated lowering (one
+        /// virtual worker per chunk).
         workers: usize,
     },
     /// The autotuner evaluated one configuration.

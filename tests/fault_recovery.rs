@@ -1,8 +1,9 @@
 //! Differential chaos tests: seeded fault plans must be observationally
 //! invisible across benchmarks, pool widths, and injection kinds.
 //!
-//! Reduced-scale reuse of `stats_bench::chaos` (the `chaos` binary runs
-//! the same sweep at full scale and gates CI).
+//! Drives the `stats_bench::chaos` sweep at reduced scale; these two
+//! tests are the chaos gate (every cell identical, all six injection
+//! kinds executed).
 
 use stats_bench::chaos::{ChaosGate, ChaosRow, ChaosSweep, WIDTHS};
 use stats_bench::pipeline::Scale;

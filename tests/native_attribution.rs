@@ -21,7 +21,8 @@
 //! * **observation only** — with the profiler attached, the run's
 //!   commit/abort decisions and outputs are bit-identical to an
 //!   unprofiled run (nondeterminism comes from seeds, never from
-//!   timestamps);
+//!   timestamps), and every deterministic protocol counter totals the
+//!   same as on a counters-only sink;
 //! * **bounded overhead** — the median min-over-reps capture overhead
 //!   across the suite stays under 10%. The median, not the per-benchmark
 //!   maximum, is gated: on a time-shared host (CI runs on whatever it
@@ -35,7 +36,7 @@ use stats_workbench::bench::native_attribution::{
 };
 use stats_workbench::bench::pipeline::{tuned_config, Scale, FIGURE_SEED};
 use stats_workbench::core::runtime::pool::WorkerPool;
-use stats_workbench::core::SnapshotStrategy;
+use stats_workbench::core::{run_speculative, Config, SnapshotStrategy};
 use stats_workbench::workloads::{dispatch, Workload, WorkloadVisitor, BENCHMARK_NAMES};
 
 const SCALE: Scale = Scale(0.08);
@@ -99,11 +100,13 @@ fn native_attribution_agrees_with_the_simulator_on_every_benchmark() {
             "{}: a what-if projected a slowdown",
             row.name
         );
-        // Profiling is observation-only: decisions and outputs are
-        // bit-identical with the profiler attached.
+        // Profiling is observation-only: decisions, outputs and every
+        // deterministic protocol counter are identical between the
+        // profiling sink and a counters-only sink on the same pool.
         assert!(
             row.parity,
-            "{}: profiled run diverged from unprofiled run",
+            "{}: profiled run diverged from unprofiled run (decisions, outputs or \
+             protocol counters)",
             row.name
         );
         // Ring buffers were sized for the workload: nothing was dropped,
@@ -136,9 +139,9 @@ fn copies_free_whatif_brackets_the_achieved_cow_speedup() {
     // profile predicts — no worse than deep's measured speedup, no
     // better than the copies-free projection — with each edge slackened
     // by the edges' own CIs plus a documented 25% noise allowance
-    // (wall-clock speedups on a time-shared CI host jitter; the bench
-    // harness `native_copies` gates the same bracket at 10% on more
-    // reps).
+    // (wall-clock speedups on a time-shared CI host jitter). The byte
+    // collapse behind it is asserted host-independently in
+    // `tests/oversubscription.rs`.
     const BRACKET_SLACK: f64 = 1.25;
     struct Bracket;
     impl WorkloadVisitor for Bracket {
@@ -158,8 +161,7 @@ fn copies_free_whatif_brackets_the_achieved_cow_speedup() {
             // parallel: on a time-shared host with fewer threads than the
             // pool, each edge measures OS preemption luck, not snapshot
             // cost, and even the 25% allowance flakes. Gate like the
-            // breadth bracket's floor below; `native_copies --gate` in CI
-            // enforces the same bracket at 10% on more reps.
+            // breadth bracket's floor below.
             if stats_workbench::core::runtime::pool::default_workers() < WORKERS {
                 return;
             }
@@ -208,8 +210,9 @@ fn mispeculation_free_whatif_brackets_the_achieved_breadth_speedup() {
     // (breadth must not cost wall time) additionally needs hardware to
     // absorb the candidate work — with fewer host threads than
     // chunks x breadth the extra computation is paid in wall time by
-    // construction — so it is gated on host parallelism, like the bench
-    // harness `native_breadth` gates its timing rows.
+    // construction — so it is gated on host parallelism. The rescue
+    // itself is a property of the protocol, not the host, and is asserted
+    // on every host.
     const BRACKET_SLACK: f64 = 1.25;
     struct BreadthBracket;
     impl WorkloadVisitor for BreadthBracket {
@@ -226,6 +229,25 @@ fn mispeculation_free_whatif_brackets_the_achieved_breadth_speedup() {
             let narrow = profile_workload_configured(w, &pool, SCALE, &seeds, narrow_cfg);
             let wide = profile_workload_configured(w, &pool, SCALE, &seeds, wide_cfg);
             assert!(narrow.parity && wide.parity, "{}: parity broken", w.name());
+
+            // Candidates rescue chunks: summed over the seeds, breadth 1
+            // aborts and breadth 2 aborts strictly less. Decided by the
+            // semantic layer, so no host parallelism is needed.
+            let aborts = |cfg: Config| -> usize {
+                seeds
+                    .iter()
+                    .map(|&seed| {
+                        let inputs = w.generate_inputs(SCALE.inputs_for(w), seed);
+                        run_speculative(w, &inputs, cfg, seed).aborts()
+                    })
+                    .sum()
+            };
+            let (narrow_aborts, wide_aborts) = (aborts(narrow_cfg), aborts(wide_cfg));
+            assert!(
+                narrow_aborts > 0 && wide_aborts < narrow_aborts,
+                "{}: breadth 2 rescued no abort ({narrow_aborts} -> {wide_aborts})",
+                w.name()
+            );
 
             // The whole point: candidates rescue chunks, so the
             // mispeculation loss share strictly shrinks. Like the floor

@@ -5,11 +5,12 @@
 //! results. These tests drive 64 chunks through a 4-worker pool — 16
 //! chunks per worker — and require bit-for-bit agreement with the
 //! semantic layer on every commit/abort decision AND every output, for
-//! all six paper benchmarks. The thread-per-chunk baseline is held to the
-//! same bar, and a shared pool must carry no state between runs.
+//! all six paper benchmarks, and a shared pool must carry no state
+//! between runs. Snapshot strategies are held to the same bar, and
+//! copy-on-write must actually collapse the trackers' copied bytes.
 
 use stats_workbench::core::runtime::pool::WorkerPool;
-use stats_workbench::core::runtime::threaded::{run_threaded_on, run_threaded_per_chunk};
+use stats_workbench::core::runtime::threaded::run_threaded_on;
 use stats_workbench::core::{run_speculative, ChunkDecision, Config};
 use stats_workbench::workloads::Workload;
 use stats_workbench::workloads::{
@@ -26,8 +27,8 @@ fn oversubscribed_config() -> Config {
     Config::stats_only(64, 4, 2)
 }
 
-/// Run one workload through the semantic layer, the pooled executor, and
-/// the thread-per-chunk baseline; all three must agree exactly.
+/// Run one workload through the semantic layer and the pooled executor;
+/// both must agree exactly.
 fn assert_parity<W>(pool: &WorkerPool, w: &W, seed: u64)
 where
     W: Workload + Sync,
@@ -60,20 +61,6 @@ where
         w.name()
     );
     assert_eq!(pooled.workers, pool.workers());
-
-    let per_chunk = run_threaded_per_chunk(w, &inputs, cfg, seed);
-    assert_eq!(
-        per_chunk.decisions,
-        reference,
-        "{}: per-chunk decisions",
-        w.name()
-    );
-    assert_eq!(
-        per_chunk.outputs,
-        semantic.outputs,
-        "{}: per-chunk outputs",
-        w.name()
-    );
 }
 
 #[test]
@@ -118,7 +105,7 @@ fn single_worker_pool_still_drains_oversubscribed_plans() {
 #[test]
 fn state_pool_high_water_stays_within_capacity() {
     use stats_workbench::core::runtime::pool::StatePool;
-    // Both threaded paths recycle dead snapshots through a StatePool
+    // The threaded executor recycles dead snapshots through a StatePool
     // capped at m + 2; the watermark proves recycling actually happens
     // without the free-list growing past its bound.
     let pool: StatePool<Vec<u64>> = StatePool::with_capacity(3);
@@ -226,7 +213,10 @@ fn cow_snapshots_are_bit_identical_to_deep_on_every_benchmark() {
     // strategy must not change one decision or one output bit, on any
     // benchmark, at any width. Decisions and outputs come from the
     // semantic layer (strategy-invariant by construction) and the pooled
-    // executor at widths 1, 2, 4, and 8.
+    // executor at widths 1, 2, 4, and 8. And it must pay off where the
+    // state allows: the trackers' generational particle clouds never
+    // fault a shared generation, so cow at least halves their copied
+    // bytes (in practice to almost nothing).
     fn assert_cow_parity<W>(w: &W)
     where
         W: Workload + Sync,
@@ -250,6 +240,15 @@ fn cow_snapshots_are_bit_identical_to_deep_on_every_benchmark() {
             w.name()
         );
         assert_eq!(deep.outputs, cow.outputs, "{}: semantic outputs", w.name());
+        if ["bodytrack", "facetrack", "facedet-and-track"].contains(&w.name()) {
+            assert!(
+                deep.bytes_copied() > 0 && 2 * cow.bytes_copied() <= deep.bytes_copied(),
+                "{}: cow copied {} of deep's {} bytes",
+                w.name(),
+                cow.bytes_copied(),
+                deep.bytes_copied()
+            );
+        }
 
         for width in [1usize, 2, 4, 8] {
             let pool = WorkerPool::new(width);

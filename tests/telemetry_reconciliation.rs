@@ -13,7 +13,7 @@ use stats_trace::CATEGORIES;
 use stats_workbench::bench::pipeline::{tuned_config, Scale, FIGURE_SEED};
 use stats_workbench::core::runtime::pool::WorkerPool;
 use stats_workbench::core::runtime::simulated::SimulatedRuntime;
-use stats_workbench::core::runtime::threaded::{run_threaded_faulted_on, run_threaded_observed};
+use stats_workbench::core::runtime::threaded::{run_threaded_faulted_on, run_threaded_on};
 use stats_workbench::core::{ChunkDecision, FaultPlan};
 use stats_workbench::workloads::{dispatch, Workload, WorkloadVisitor, BENCHMARK_NAMES};
 
@@ -159,7 +159,14 @@ impl WorkloadVisitor for Reconcile {
         // at the worker/coordinator call sites, and lands on identical
         // totals — schedule-independence extends to the telemetry.
         let thr_sink = TelemetrySink::new(cfg.chunks);
-        let threaded = run_threaded_observed(w, &inputs, cfg, FIGURE_SEED, Some(&thr_sink));
+        let threaded = run_threaded_on(
+            WorkerPool::shared(),
+            w,
+            &inputs,
+            cfg,
+            FIGURE_SEED,
+            Some(&thr_sink),
+        );
         assert_eq!(
             threaded.decisions,
             report.decisions,
