@@ -109,7 +109,7 @@ impl StateDependence for StreamClassifier {
          -> u64 {
             let mut evals = 0u64;
             *count_correct = 0;
-            for (p, &label) in input.points.iter().zip(&input.labels).take(take) {
+            for (p, &label) in input.points().zip(input.labels()).take(take) {
                 let predicted = state
                     .protos
                     .iter()
@@ -138,7 +138,7 @@ impl StateDependence for StreamClassifier {
             }
             evals
         };
-        let n_points = input.points.len();
+        let n_points = input.len();
         dist_evals += process(state, rng, &mut correct, n_points);
         let mut extra = (mean_conf / 200.0).min(3.0);
         let mut scratch = 0usize;
@@ -153,7 +153,7 @@ impl StateDependence for StreamClassifier {
         for c in state.confidence.iter_mut() {
             *c *= self.confidence_decay;
         }
-        let accuracy = correct as f64 / input.points.len() as f64;
+        let accuracy = correct as f64 / n_points as f64;
         // Native cost scaled up from the synthetic batch (x192).
         let work = dist_evals * self.stream.dims as u64 * 3 * 192;
         (accuracy, UpdateCost::new(work, work * 2))

@@ -96,9 +96,14 @@ impl StreamCluster {
         }
     }
 
-    fn refine_once(&self, state: &mut Centers, batch: &PointBatch, rng: &mut StatsRng) -> u64 {
+    fn refine_once<'a>(
+        &self,
+        state: &mut Centers,
+        points: impl Iterator<Item = &'a [f64]>,
+        rng: &mut StatsRng,
+    ) -> u64 {
         let mut dist_evals = 0u64;
-        for p in &batch.points {
+        for p in points {
             let nearest = state
                 .centers
                 .iter()
@@ -108,7 +113,7 @@ impl StreamCluster {
             dist_evals += state.centers.len() as u64;
             match nearest {
                 None => state.centers.push(Center {
-                    pos: p.clone(),
+                    pos: p.to_vec(),
                     weight: 1.0,
                 }),
                 Some((i, d2)) => {
@@ -118,7 +123,7 @@ impl StreamCluster {
                     let open_p = (d2 / self.open_cost).min(0.25);
                     if state.centers.len() < 2 * self.kmax && rng.chance(open_p) {
                         state.centers.push(Center {
-                            pos: p.clone(),
+                            pos: p.to_vec(),
                             weight: 1.0,
                         });
                     } else {
@@ -175,27 +180,22 @@ impl StateDependence for StreamCluster {
         // Inertia: heavy centers need extra refinement to follow the
         // drifting stream — one full pass plus a partial second pass whose
         // length grows with the centers' accumulated weight.
-        let mut dist_evals = self.refine_once(state, input, rng);
+        let mut dist_evals = self.refine_once(state, input.points(), rng);
         let mut extra = (state.mean_weight() / 150.0).min(3.0);
         while extra >= 1.0 {
-            dist_evals += self.refine_once(state, input, rng);
+            dist_evals += self.refine_once(state, input.points(), rng);
             extra -= 1.0;
         }
-        let take = ((input.points.len() as f64) * extra) as usize;
+        let take = ((input.len() as f64) * extra) as usize;
         if take > 0 {
-            let partial = PointBatch {
-                points: input.points[..take].to_vec(),
-                true_centers: input.true_centers.clone(),
-            };
-            dist_evals += self.refine_once(state, &partial, rng);
+            dist_evals += self.refine_once(state, input.points().take(take), rng);
         }
         for c in state.centers.iter_mut() {
             c.weight *= self.weight_decay;
         }
         // Batch clustering cost: mean distance to the nearest center.
         let cost: f64 = input
-            .points
-            .iter()
+            .points()
             .map(|p| {
                 state
                     .centers
@@ -205,7 +205,7 @@ impl StateDependence for StreamCluster {
                     .sqrt()
             })
             .sum::<f64>()
-            / input.points.len() as f64;
+            / input.len() as f64;
         // Native cost: each distance evaluation over `dims` dims, scaled to
         // PARSEC native point counts (x256 the synthetic batch).
         let work = dist_evals * self.stream.dims as u64 * 4 * 256;

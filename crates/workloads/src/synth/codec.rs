@@ -26,6 +26,13 @@ pub enum CodecError {
         /// Tag required by the decoder.
         expected: u8,
     },
+    /// The rows of a point batch (its points and, for unlabeled batches,
+    /// its centers) do not share one positive length, or there are none,
+    /// so they cannot form one row-major buffer.
+    RaggedBatch {
+        /// Index of the batch in the stream.
+        batch: usize,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -36,6 +43,10 @@ impl fmt::Display for CodecError {
             CodecError::WrongKind { found, expected } => {
                 write!(f, "wrong stream kind {found} (expected {expected})")
             }
+            CodecError::RaggedBatch { batch } => write!(
+                f,
+                "batch {batch}: rows must all have one positive length, and there must be at least one row"
+            ),
         }
     }
 }
@@ -77,7 +88,8 @@ fn put_vec(buf: &mut BytesMut, v: &[f64]) {
     }
 }
 
-fn take_vec(buf: &mut Bytes) -> Result<Vec<f64>, CodecError> {
+/// Read a `put_vec` length and check that its payload follows.
+fn take_len(buf: &mut Bytes) -> Result<usize, CodecError> {
     if buf.remaining() < 4 {
         return Err(CodecError::Truncated);
     }
@@ -85,7 +97,29 @@ fn take_vec(buf: &mut Bytes) -> Result<Vec<f64>, CodecError> {
     if buf.remaining() < n * 8 {
         return Err(CodecError::Truncated);
     }
+    Ok(n)
+}
+
+fn take_vec(buf: &mut Bytes) -> Result<Vec<f64>, CodecError> {
+    let n = take_len(buf)?;
     Ok((0..n).map(|_| buf.get_f64_le()).collect())
+}
+
+/// Append one `put_vec` row of batch `batch` to `coords`. The first row
+/// fixes `dims`; every later one must match it.
+fn take_row(
+    buf: &mut Bytes,
+    batch: usize,
+    dims: &mut Option<usize>,
+    coords: &mut Vec<f64>,
+) -> Result<(), CodecError> {
+    let n = take_len(buf)?;
+    if n == 0 || dims.is_some_and(|d| d != n) {
+        return Err(CodecError::RaggedBatch { batch });
+    }
+    *dims = Some(n);
+    coords.extend((0..n).map(|_| buf.get_f64_le()));
+    Ok(())
 }
 
 /// Encode a frame stream (the tracker benchmarks' inputs).
@@ -135,12 +169,12 @@ pub fn encode_points(batches: &[PointBatch]) -> Bytes {
     let mut buf = BytesMut::new();
     put_header(&mut buf, KIND_POINTS, batches.len());
     for b in batches {
-        buf.put_u32_le(b.points.len() as u32);
-        for p in &b.points {
+        buf.put_u32_le(b.len() as u32);
+        for p in b.points() {
             put_vec(&mut buf, p);
         }
-        buf.put_u32_le(b.true_centers.len() as u32);
-        for c in &b.true_centers {
+        buf.put_u32_le(b.true_centers().len() as u32);
+        for c in b.true_centers() {
             put_vec(&mut buf, c);
         }
     }
@@ -155,27 +189,26 @@ pub fn encode_points(batches: &[PointBatch]) -> Bytes {
 pub fn decode_points(mut buf: Bytes) -> Result<Vec<PointBatch>, CodecError> {
     let count = take_header(&mut buf, KIND_POINTS)?;
     let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
+    for batch in 0..count {
+        let mut dims = None;
         if buf.remaining() < 4 {
             return Err(CodecError::Truncated);
         }
         let np = buf.get_u32_le() as usize;
-        let mut points = Vec::with_capacity(np);
+        let mut coords = Vec::new();
         for _ in 0..np {
-            points.push(take_vec(&mut buf)?);
+            take_row(&mut buf, batch, &mut dims, &mut coords)?;
         }
         if buf.remaining() < 4 {
             return Err(CodecError::Truncated);
         }
         let nc = buf.get_u32_le() as usize;
-        let mut true_centers = Vec::with_capacity(nc);
+        let mut true_centers = Vec::new();
         for _ in 0..nc {
-            true_centers.push(take_vec(&mut buf)?);
+            take_row(&mut buf, batch, &mut dims, &mut true_centers)?;
         }
-        out.push(PointBatch {
-            points,
-            true_centers,
-        });
+        let dims = dims.ok_or(CodecError::RaggedBatch { batch })?;
+        out.push(PointBatch::new(dims, coords, true_centers));
     }
     Ok(out)
 }
@@ -185,8 +218,8 @@ pub fn encode_labeled(batches: &[LabeledBatch]) -> Bytes {
     let mut buf = BytesMut::new();
     put_header(&mut buf, KIND_LABELED, batches.len());
     for b in batches {
-        buf.put_u32_le(b.points.len() as u32);
-        for (p, label) in b.points.iter().zip(&b.labels) {
+        buf.put_u32_le(b.len() as u32);
+        for (p, label) in b.points().zip(b.labels()) {
             put_vec(&mut buf, p);
             buf.put_u32_le(*label as u32);
         }
@@ -202,21 +235,23 @@ pub fn encode_labeled(batches: &[LabeledBatch]) -> Bytes {
 pub fn decode_labeled(mut buf: Bytes) -> Result<Vec<LabeledBatch>, CodecError> {
     let count = take_header(&mut buf, KIND_LABELED)?;
     let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
+    for batch in 0..count {
+        let mut dims = None;
         if buf.remaining() < 4 {
             return Err(CodecError::Truncated);
         }
         let np = buf.get_u32_le() as usize;
-        let mut points = Vec::with_capacity(np);
-        let mut labels = Vec::with_capacity(np);
+        let mut coords = Vec::new();
+        let mut labels = Vec::new();
         for _ in 0..np {
-            points.push(take_vec(&mut buf)?);
+            take_row(&mut buf, batch, &mut dims, &mut coords)?;
             if buf.remaining() < 4 {
                 return Err(CodecError::Truncated);
             }
             labels.push(buf.get_u32_le() as usize);
         }
-        out.push(LabeledBatch { points, labels });
+        let dims = dims.ok_or(CodecError::RaggedBatch { batch })?;
+        out.push(LabeledBatch::new(dims, coords, labels));
     }
     Ok(out)
 }
@@ -333,5 +368,81 @@ mod tests {
             decode_rates(encode_rates(&[])).unwrap(),
             Vec::<RateBatch>::new()
         );
+    }
+
+    /// One batch of hand-framed rows: `points` then `centers`.
+    fn framed_points(points: &[&[f64]], centers: &[&[f64]]) -> Bytes {
+        let mut buf = BytesMut::new();
+        put_header(&mut buf, KIND_POINTS, 1);
+        for rows in [points, centers] {
+            buf.put_u32_le(rows.len() as u32);
+            for row in rows {
+                put_vec(&mut buf, row);
+            }
+        }
+        buf.freeze()
+    }
+
+    #[test]
+    fn ragged_batches_are_rejected_not_rechunked() {
+        let ragged = Err(CodecError::RaggedBatch { batch: 0 });
+        // Points of different lengths.
+        assert_eq!(
+            decode_points(framed_points(&[&[1.0, 2.0], &[3.0, 4.0, 5.0]], &[])),
+            ragged
+        );
+        // Centers whose length differs from the points'.
+        assert_eq!(
+            decode_points(framed_points(&[&[1.0, 2.0]], &[&[0.0, 0.0, 0.0]])),
+            ragged
+        );
+        // Rows of length 0, and a batch with no rows at all.
+        assert_eq!(decode_points(framed_points(&[&[]], &[])), ragged);
+        assert_eq!(decode_points(framed_points(&[], &[])), ragged);
+        // Labeled points of different lengths, in the second batch.
+        let mut buf = BytesMut::new();
+        put_header(&mut buf, KIND_LABELED, 2);
+        for rows in [&[&[1.0][..]][..], &[&[1.0], &[2.0, 3.0]]] {
+            buf.put_u32_le(rows.len() as u32);
+            for row in rows {
+                put_vec(&mut buf, row);
+                buf.put_u32_le(0);
+            }
+        }
+        let err = decode_labeled(buf.freeze()).unwrap_err();
+        assert_eq!(err, CodecError::RaggedBatch { batch: 1 });
+        assert!(err.to_string().starts_with("batch 1: rows must all have"));
+        // A well-formed hand-framed batch decodes to the same rows.
+        let good = decode_points(framed_points(&[&[1.0, 2.0], &[3.0, 4.0]], &[&[0.5, 0.5]]));
+        assert_eq!(
+            good.unwrap(),
+            [PointBatch::new(2, vec![1.0, 2.0, 3.0, 4.0], vec![0.5, 0.5])]
+        );
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn point_streams_encode_to_pinned_bytes() {
+        // FNV-1a digests of the encoded streams, recorded when each point
+        // was still its own `Vec<f64>`: they pin both the generators' draw
+        // order and the byte format across layout changes.
+        let pinned = [
+            (1, 0xf13b_efb1_7b58_7e78, 0x52f0_1f8c_e30f_758b),
+            (7, 0x4c4f_f727_c475_ae91, 0xee78_5114_9ade_60d7),
+        ];
+        for (seed, points, labeled) in pinned {
+            let p = encode_points(&PointStreamConfig::cluster_stream().generate(64, seed));
+            let l =
+                encode_labeled(&PointStreamConfig::classifier_stream().generate_labeled(64, seed));
+            assert_eq!(p.len(), 331_277, "seed {seed}");
+            assert_eq!(l.len(), 418_061, "seed {seed}");
+            assert_eq!(fnv1a(&p), points, "seed {seed}: points");
+            assert_eq!(fnv1a(&l), labeled, "seed {seed}: labeled");
+        }
     }
 }

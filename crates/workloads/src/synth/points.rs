@@ -1,25 +1,122 @@
 //! Synthetic point streams for the clustering benchmarks.
+//!
+//! A batch keeps its points in one row-major coordinate buffer, the way
+//! PARSEC's streamcluster keeps them in one `block` array: `dims`
+//! consecutive values per point. This module is the only code that knows
+//! the layout; everything else reads rows through [`PointBatch::points`],
+//! [`PointBatch::true_centers`] and [`LabeledBatch::points`].
 
 use serde::{Deserialize, Serialize};
 use stats_core::rng::StatsRng;
+use std::slice::ChunksExact;
 
 /// A batch of unlabeled points (streamcluster's unit of work).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PointBatch {
-    /// Row-major points: `points[i]` is one `dims`-dimensional point.
-    pub points: Vec<Vec<f64>>,
-    /// The generating cluster centers at this moment (ground truth for
-    /// quality scoring).
-    pub true_centers: Vec<Vec<f64>>,
+    dims: usize,
+    /// Row-major points, `dims` values each.
+    coords: Vec<f64>,
+    /// The generating cluster centers at this moment, row-major. Only
+    /// the generator's tests and the codec read them: no workload scores
+    /// against them.
+    true_centers: Vec<f64>,
+}
+
+impl PointBatch {
+    /// A batch of `dims`-dimensional points and generating centers, each
+    /// stored row-major.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dims` is 0 or either buffer is not a whole number of
+    /// rows.
+    pub fn new(dims: usize, coords: Vec<f64>, true_centers: Vec<f64>) -> Self {
+        assert_rows(dims, coords.len());
+        assert_rows(dims, true_centers.len());
+        PointBatch {
+            dims,
+            coords,
+            true_centers,
+        }
+    }
+
+    /// The points, one `dims`-long slice each.
+    pub fn points(&self) -> ChunksExact<'_, f64> {
+        self.coords.chunks_exact(self.dims)
+    }
+
+    /// The generating cluster centers, one `dims`-long slice each.
+    pub fn true_centers(&self) -> ChunksExact<'_, f64> {
+        self.true_centers.chunks_exact(self.dims)
+    }
+
+    /// Number of points.
+    pub fn len(&self) -> usize {
+        self.coords.len() / self.dims
+    }
+
+    /// Whether the batch holds no points.
+    pub fn is_empty(&self) -> bool {
+        self.coords.is_empty()
+    }
 }
 
 /// A batch of labeled points (streamclassifier's unit of work).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LabeledBatch {
-    /// The points.
-    pub points: Vec<Vec<f64>>,
+    dims: usize,
+    /// Row-major points, `dims` values each.
+    coords: Vec<f64>,
     /// True class of each point.
-    pub labels: Vec<usize>,
+    labels: Vec<usize>,
+}
+
+impl LabeledBatch {
+    /// A batch of `dims`-dimensional points, stored row-major, and one
+    /// label per point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dims` is 0, `coords` is not a whole number of rows, or
+    /// there is not one label per row.
+    pub fn new(dims: usize, coords: Vec<f64>, labels: Vec<usize>) -> Self {
+        assert_rows(dims, coords.len());
+        assert_eq!(
+            coords.len() / dims,
+            labels.len(),
+            "one label per point is required"
+        );
+        LabeledBatch {
+            dims,
+            coords,
+            labels,
+        }
+    }
+
+    /// The points, one `dims`-long slice each.
+    pub fn points(&self) -> ChunksExact<'_, f64> {
+        self.coords.chunks_exact(self.dims)
+    }
+
+    /// True class of each point.
+    pub fn labels(&self) -> &[usize] {
+        &self.labels
+    }
+
+    /// Number of points.
+    pub fn len(&self) -> usize {
+        self.labels.len()
+    }
+
+    /// Whether the batch holds no points.
+    pub fn is_empty(&self) -> bool {
+        self.labels.is_empty()
+    }
+}
+
+fn assert_rows(dims: usize, len: usize) {
+    assert!(dims > 0, "points need at least one dimension");
+    assert_eq!(len % dims, 0, "{len} coordinates are not rows of {dims}");
 }
 
 /// Parameters of a drifting Gaussian-mixture stream.
@@ -60,18 +157,25 @@ impl PointStreamConfig {
         }
     }
 
-    fn drift_centers(&self, centers: &mut [Vec<f64>], rng: &mut StatsRng) {
-        for c in centers.iter_mut() {
-            for x in c.iter_mut() {
-                *x = (*x + rng.noise(self.drift)).clamp(-1.0, 1.0);
-            }
+    fn drift_centers(&self, centers: &mut [f64], rng: &mut StatsRng) {
+        for x in centers.iter_mut() {
+            *x = (*x + rng.noise(self.drift)).clamp(-1.0, 1.0);
         }
     }
 
-    fn initial_centers(&self, rng: &mut StatsRng) -> Vec<Vec<f64>> {
-        (0..self.clusters)
-            .map(|_| (0..self.dims).map(|_| rng.noise(1.0)).collect())
+    fn initial_centers(&self, rng: &mut StatsRng) -> Vec<f64> {
+        (0..self.clusters * self.dims)
+            .map(|_| rng.noise(1.0))
             .collect()
+    }
+
+    /// Append one point drawn around a random center to `coords`, and
+    /// return that center's index.
+    fn push_point(&self, centers: &[f64], coords: &mut Vec<f64>, rng: &mut StatsRng) -> usize {
+        let c = rng.gen_range(0..self.clusters);
+        let center = &centers[c * self.dims..(c + 1) * self.dims];
+        coords.extend(center.iter().map(|x| x + rng.gaussian() * self.spread));
+        c
     }
 
     /// Generate `n` unlabeled batches.
@@ -81,19 +185,11 @@ impl PointStreamConfig {
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             self.drift_centers(&mut centers, &mut rng);
-            let points = (0..self.batch)
-                .map(|_| {
-                    let c = rng.gen_range(0..self.clusters);
-                    centers[c]
-                        .iter()
-                        .map(|x| x + rng.gaussian() * self.spread)
-                        .collect()
-                })
-                .collect();
-            out.push(PointBatch {
-                points,
-                true_centers: centers.clone(),
-            });
+            let mut coords = Vec::with_capacity(self.batch * self.dims);
+            for _ in 0..self.batch {
+                self.push_point(&centers, &mut coords, &mut rng);
+            }
+            out.push(PointBatch::new(self.dims, coords, centers.clone()));
         }
         out
     }
@@ -105,19 +201,11 @@ impl PointStreamConfig {
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             self.drift_centers(&mut centers, &mut rng);
-            let mut points = Vec::with_capacity(self.batch);
-            let mut labels = Vec::with_capacity(self.batch);
-            for _ in 0..self.batch {
-                let c = rng.gen_range(0..self.clusters);
-                labels.push(c);
-                points.push(
-                    centers[c]
-                        .iter()
-                        .map(|x| x + rng.gaussian() * self.spread)
-                        .collect(),
-                );
-            }
-            out.push(LabeledBatch { points, labels });
+            let mut coords = Vec::with_capacity(self.batch * self.dims);
+            let labels = (0..self.batch)
+                .map(|_| self.push_point(&centers, &mut coords, &mut rng))
+                .collect();
+            out.push(LabeledBatch::new(self.dims, coords, labels));
         }
         out
     }
@@ -139,9 +227,10 @@ mod tests {
         let batches = cfg.generate(10, 1);
         assert_eq!(batches.len(), 10);
         for b in &batches {
-            assert_eq!(b.points.len(), cfg.batch);
-            assert_eq!(b.true_centers.len(), cfg.clusters);
-            for p in &b.points {
+            assert_eq!(b.len(), cfg.batch);
+            assert_eq!(b.points().len(), cfg.batch);
+            assert_eq!(b.true_centers().len(), cfg.clusters);
+            for p in b.points() {
                 assert_eq!(p.len(), cfg.dims);
             }
         }
@@ -159,10 +248,9 @@ mod tests {
         let cfg = PointStreamConfig::cluster_stream();
         let batches = cfg.generate(20, 9);
         for b in &batches {
-            for p in &b.points {
+            for p in b.points() {
                 let nearest = b
-                    .true_centers
-                    .iter()
+                    .true_centers()
                     .map(|c| dist2(p, c))
                     .fold(f64::INFINITY, f64::min);
                 // Within ~4 sigma of some center in most cases.
@@ -175,10 +263,9 @@ mod tests {
     fn centers_drift_over_time() {
         let cfg = PointStreamConfig::cluster_stream();
         let batches = cfg.generate(500, 2);
-        let first = &batches[0].true_centers;
-        let last = &batches[499].true_centers;
+        let first = batches[0].true_centers();
+        let last = batches[499].true_centers();
         let moved: f64 = first
-            .iter()
             .zip(last)
             .map(|(a, b)| dist2(a, b).sqrt())
             .sum::<f64>()
@@ -191,8 +278,37 @@ mod tests {
         let cfg = PointStreamConfig::classifier_stream();
         let batches = cfg.generate_labeled(10, 1);
         for b in &batches {
-            assert_eq!(b.points.len(), b.labels.len());
-            assert!(b.labels.iter().all(|&l| l < cfg.clusters));
+            assert_eq!(b.points().len(), b.labels().len());
+            assert!(b.labels().iter().all(|&l| l < cfg.clusters));
         }
+    }
+
+    #[test]
+    fn rows_read_back_in_the_order_they_were_stored() {
+        let b = PointBatch::new(2, vec![1.0, 2.0, 3.0, 4.0], vec![5.0, 6.0]);
+        assert_eq!(b.len(), 2);
+        assert_eq!(b.points().collect::<Vec<_>>(), [[1.0, 2.0], [3.0, 4.0]]);
+        assert_eq!(b.true_centers().collect::<Vec<_>>(), [[5.0, 6.0]]);
+        let l = LabeledBatch::new(3, vec![0.0; 6], vec![1, 0]);
+        assert_eq!(l.points().len(), 2);
+        assert_eq!(l.labels(), [1, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not rows of 3")]
+    fn a_partial_row_is_refused() {
+        PointBatch::new(3, vec![0.0; 4], vec![]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one dimension")]
+    fn zero_dimensions_are_refused() {
+        LabeledBatch::new(0, vec![], vec![]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one label per point")]
+    fn a_missing_label_is_refused() {
+        LabeledBatch::new(2, vec![0.0; 4], vec![0]);
     }
 }
