@@ -13,15 +13,20 @@ use stats_core::CowBox;
 
 /// A weighted particle cloud over a `dims`-dimensional pose space.
 ///
-/// Both buffers live in [`CowBox`] cells so a protocol snapshot
-/// ([`ParticleCloud::fork`]) is two pointer bumps. The filter advances
-/// *generationally* — each step builds the next particle generation in
-/// fresh buffers and replaces the old ones wholesale — so a shared
-/// generation is never written in place and copy-on-write snapshots stay
-/// fault-free: the tracker states replicate for free.
+/// The cloud is two [`CowBox`] cells: the particles, stored row-major as
+/// one `n × dims` buffer (particle `i` is `particles[i * dims..][..dims]`),
+/// and their `n` weights. A generation therefore allocates the same
+/// number of times whatever `n` is, and only this module sees the layout
+/// (through `rows`, which walks it with `chunks_exact(dims)`). A protocol
+/// snapshot ([`ParticleCloud::fork`]) is two pointer bumps. The filter
+/// advances *generationally* — each step builds the next particle
+/// generation in fresh buffers and replaces the old ones wholesale — so a
+/// shared generation is never written in place and copy-on-write
+/// snapshots stay fault-free: the tracker states replicate for free.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ParticleCloud {
-    particles: CowBox<Vec<Vec<f64>>>,
+    dims: usize,
+    particles: CowBox<Vec<f64>>,
     weights: CowBox<Vec<f64>>,
 }
 
@@ -36,10 +41,9 @@ impl ParticleCloud {
     pub fn fresh(n: usize, dims: usize, seed: u64) -> Self {
         assert!(n > 0 && dims > 0, "empty cloud");
         let mut rng = StatsRng::from_seed_value(seed ^ 0x9A27_1C7E);
-        let particles = (0..n)
-            .map(|_| (0..dims).map(|_| rng.noise(1.0)).collect())
-            .collect();
+        let particles = (0..n * dims).map(|_| rng.noise(1.0)).collect();
         ParticleCloud {
+            dims,
             particles: CowBox::new(particles),
             weights: CowBox::new(vec![1.0 / n as f64; n]),
         }
@@ -52,6 +56,7 @@ impl ParticleCloud {
     /// so in practice neither side ever faults.
     pub fn fork(&mut self) -> ParticleCloud {
         ParticleCloud {
+            dims: self.dims,
             particles: self.particles.fork(),
             weights: self.weights.fork(),
         }
@@ -73,24 +78,29 @@ impl ParticleCloud {
 
     /// Number of particles.
     pub fn len(&self) -> usize {
-        self.particles.len()
+        self.weights.len()
     }
 
     /// Whether the cloud is empty (never true by construction).
     pub fn is_empty(&self) -> bool {
-        self.particles.is_empty()
+        self.weights.is_empty()
     }
 
     /// Pose dimensionality.
     pub fn dims(&self) -> usize {
-        self.particles[0].len()
+        self.dims
+    }
+
+    /// The particles, one `dims`-long row each.
+    fn rows(&self) -> std::slice::ChunksExact<'_, f64> {
+        self.particles.chunks_exact(self.dims)
     }
 
     /// The weighted-mean pose estimate.
     pub fn estimate(&self) -> Vec<f64> {
         let dims = self.dims();
         let mut est = vec![0.0; dims];
-        for (p, w) in self.particles.iter().zip(self.weights.iter()) {
+        for (p, w) in self.rows().zip(self.weights.iter()) {
             for d in 0..dims {
                 est[d] += p[d] * w;
             }
@@ -102,8 +112,7 @@ impl ParticleCloud {
     pub fn spread(&self) -> f64 {
         let est = self.estimate();
         let var: f64 = self
-            .particles
-            .iter()
+            .rows()
             .zip(self.weights.iter())
             .map(|(p, w)| {
                 w * p
@@ -137,14 +146,10 @@ impl ParticleCloud {
             // Diffuse into a fresh generation: the previous one may be
             // structurally shared with a protocol snapshot, and replacing
             // it wholesale keeps copy-on-write snapshots fault-free.
-            let diffused: Vec<Vec<f64>> = self
+            let diffused: Vec<f64> = self
                 .particles
                 .iter()
-                .map(|p| {
-                    p.iter()
-                        .map(|x| (*x + rng.gaussian() * sigma).clamp(-1.5, 1.5))
-                        .collect()
-                })
+                .map(|x| (*x + rng.gaussian() * sigma).clamp(-1.5, 1.5))
                 .collect();
             // Weight by a heavy-tailed likelihood: a narrow peak for
             // precision plus a wide component so a lost cloud still feels
@@ -152,7 +157,7 @@ impl ParticleCloud {
             let inv = 1.0 / (2.0 * obs_sigma * obs_sigma * anneal.max(0.25));
             let mut weights = Vec::with_capacity(n);
             let mut total = 0.0;
-            for p in &diffused {
+            for p in diffused.chunks_exact(dims) {
                 let d2: f64 = p
                     .iter()
                     .zip(observation)
@@ -166,7 +171,7 @@ impl ParticleCloud {
                 *w /= total;
             }
             // Systematic resampling over the diffused generation.
-            let (next, step) = resample(&diffused, &weights, rng);
+            let (next, step) = resample(&diffused, dims, &weights, rng);
             self.particles.set(next);
             self.weights.set(vec![step; n]);
             flops += (n * dims * 6 + n * 4) as u64;
@@ -181,17 +186,13 @@ impl ParticleCloud {
         let dims = self.dims();
         // Generational replacement, like `step`: pose dimensions beyond
         // the target's keep their current value.
-        let reseeded: Vec<Vec<f64>> = self
+        let reseeded: Vec<f64> = self
             .particles
             .iter()
-            .map(|p| {
-                p.iter()
-                    .enumerate()
-                    .map(|(d, x)| match target.get(d) {
-                        Some(t) => (t + rng.gaussian() * sigma).clamp(-1.5, 1.5),
-                        None => *x,
-                    })
-                    .collect()
+            .enumerate()
+            .map(|(i, x)| match target.get(i % dims) {
+                Some(t) => (t + rng.gaussian() * sigma).clamp(-1.5, 1.5),
+                None => *x,
             })
             .collect();
         let n = self.len();
@@ -216,22 +217,27 @@ impl ParticleCloud {
     }
 }
 
-/// Systematic resampling: draw the next generation from `particles`
-/// proportionally to `weights`. Returns the generation and the uniform
-/// weight each survivor carries.
-fn resample(particles: &[Vec<f64>], weights: &[f64], rng: &mut StatsRng) -> (Vec<Vec<f64>>, f64) {
-    let n = particles.len();
+/// Systematic resampling: draw the next generation from the row-major
+/// `particles` (rows of `dims`) proportionally to `weights`. Returns the
+/// generation, row-major, and the uniform weight each survivor carries.
+fn resample(
+    particles: &[f64],
+    dims: usize,
+    weights: &[f64],
+    rng: &mut StatsRng,
+) -> (Vec<f64>, f64) {
+    let n = weights.len();
     let step = 1.0 / n as f64;
     let mut u = rng.unit() * step;
     let mut cum = 0.0;
     let mut idx = 0usize;
-    let mut next = Vec::with_capacity(n);
+    let mut next = Vec::with_capacity(n * dims);
     for _ in 0..n {
         while idx < n - 1 && cum + weights[idx] < u {
             cum += weights[idx];
             idx += 1;
         }
-        next.push(particles[idx].clone());
+        next.extend_from_slice(&particles[idx * dims..][..dims]);
         u += step;
     }
     (next, step)
@@ -384,7 +390,7 @@ mod tests {
         // state size.
         let mut live = ParticleCloud::fresh(64, 2, 9);
         let _snap = live.fork();
-        live.particles.make_mut()[0][0] = 0.0;
+        live.particles.make_mut()[0] = 0.0;
         let n = 64u64;
         let total = n * 2 * 8 + n * 8;
         assert_eq!(
@@ -392,6 +398,29 @@ mod tests {
             500_000 * (n * 2 * 8) / total
         );
         assert_eq!(live.take_materialized(500_000), 0, "drain resets");
+    }
+
+    #[test]
+    fn reseed_keeps_pose_dimensions_beyond_the_target() {
+        // A 3-D cloud reseeded around a 2-D target: coordinates 0 and 1
+        // are redrawn, coordinate 2 of every particle is kept, and
+        // exactly one gaussian is drawn per redrawn coordinate.
+        let n = 40;
+        let mut c = ParticleCloud::fresh(n, 3, 11);
+        let before: Vec<Vec<f64>> = c.rows().map(<[f64]>::to_vec).collect();
+        let mut r = rng(12);
+        let mut twin = r.clone();
+        let flops = c.reseed_around(&[0.5, -0.5], 0.1, &mut r);
+        assert_eq!(flops, (n * 3 * 3) as u64);
+        assert_eq!(c.len(), n);
+        for (old, new) in before.iter().zip(c.rows()) {
+            assert_eq!(new[2], old[2]);
+            assert!((new[0] - 0.5).abs() < 0.6 && (new[1] + 0.5).abs() < 0.6);
+        }
+        for _ in 0..n * 2 {
+            twin.gaussian();
+        }
+        assert_eq!(r.unit(), twin.unit(), "draws n × 2 gaussians");
     }
 
     #[test]
