@@ -9,6 +9,14 @@
 //! in fewer iterations — which is how the paper's observation that the
 //! STATS version "converges faster" and executes *fewer* instructions
 //! (Fig. 14, §V-C) emerges naturally here.
+//!
+//! The centers are one row-major `n × dims` buffer of positions beside `n`
+//! weights, in a single copy-on-write cell; only this module sees that
+//! layout. When a refinement pass leaves more than `kmax` centers, the
+//! consolidation computes the pairwise distance table once and, after each
+//! merge of the closest pair, recomputes only the merged center's row. The
+//! modeled work still charges a full rescan of every pair per merge, as
+//! the original kernel performs.
 
 use crate::suite::{ExecMode, Workload};
 use crate::synth::{PointBatch, PointStreamConfig};
@@ -17,52 +25,211 @@ use stats_core::rng::StatsRng;
 use stats_core::{Config, CowBox, InnerParallelism, SnapshotStrategy, StateDependence, UpdateCost};
 use stats_uarch::StreamProfile;
 
-/// One weighted median center.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Center {
-    /// Position in point space.
-    pub pos: Vec<f64>,
-    /// Absorbed point mass (inertia).
-    pub weight: f64,
-}
-
-/// The clustering state: the current centers.
+/// The clustering state: the current weighted centers, unordered.
+///
+/// One [`CowBox`] cell holds the whole set, so a chunk-boundary snapshot
+/// is O(1), and the refinement loop's first in-place write after a fork
+/// materializes a private copy (one fault, whatever the center count).
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Centers {
-    /// Current centers, unordered. Boxed for O(1) chunk-boundary
-    /// snapshots; the refinement loop's first in-place write after a
-    /// fork materializes a private copy.
-    pub centers: CowBox<Vec<Center>>,
+    set: CowBox<CenterSet>,
+}
+
+/// Weighted centers stored row-major: center `i` is
+/// `pos[i * dims..][..dims]` with weight `weights[i]`. `dims` is fixed by
+/// the first center pushed (0 while the set has never held one).
+#[derive(Debug, Clone, PartialEq, Default)]
+struct CenterSet {
+    dims: usize,
+    pos: Vec<f64>,
+    weights: Vec<f64>,
+}
+
+impl CenterSet {
+    fn len(&self) -> usize {
+        self.weights.len()
+    }
+
+    fn rows(&self) -> std::slice::ChunksExact<'_, f64> {
+        // `max(1)`: an empty set of unknown width has no rows.
+        self.pos.chunks_exact(self.dims.max(1))
+    }
+
+    fn row(&self, i: usize) -> &[f64] {
+        &self.pos[i * self.dims..][..self.dims]
+    }
+
+    fn push(&mut self, p: &[f64], weight: f64) {
+        if self.weights.is_empty() {
+            assert!(!p.is_empty(), "a center needs at least one dimension");
+            self.dims = p.len();
+        }
+        assert_eq!(p.len(), self.dims, "center width");
+        self.pos.extend_from_slice(p);
+        self.weights.push(weight);
+    }
+
+    /// Remove center `j`, moving the last center into its slot.
+    fn swap_remove(&mut self, j: usize) {
+        let (dims, last) = (self.dims, self.len() - 1);
+        self.pos.copy_within(last * dims.., j * dims);
+        self.pos.truncate(last * dims);
+        self.weights.swap_remove(j);
+    }
+
+    /// Count point `p` toward center `i` and pull the center toward it.
+    fn absorb(&mut self, i: usize, p: &[f64]) {
+        let weight = &mut self.weights[i];
+        *weight += 1.0;
+        let lr = 1.0 / weight.min(64.0);
+        for (x, y) in self.pos[i * self.dims..][..self.dims].iter_mut().zip(p) {
+            *x += lr * (y - *x);
+        }
+    }
+
+    /// Merge center `j` into center `i` (`i < j`): the weighted mean of
+    /// the two positions, their summed weight, then `swap_remove(j)`.
+    fn merge(&mut self, i: usize, j: usize) {
+        debug_assert!(i < j);
+        let (wi, wj) = (self.weights[i], self.weights[j]);
+        let total = wi + wj;
+        let dims = self.dims;
+        let (head, tail) = self.pos.split_at_mut(j * dims);
+        let (ci, cj) = (&mut head[i * dims..][..dims], &tail[..dims]);
+        for (x, y) in ci.iter_mut().zip(cj) {
+            *x = (*x * wi + y * wj) / total;
+        }
+        self.weights[i] = total;
+        self.swap_remove(j);
+    }
+
+    /// Merge closest pairs until at most `kmax` centers remain. Returns
+    /// the distance evaluations a full rescan of every pair per merge
+    /// would make (the modeled work), not the ones the cached table makes.
+    fn consolidate(&mut self, kmax: usize) -> u64 {
+        if self.len() <= kmax {
+            return 0;
+        }
+        let mut table = MergeTable::new(self);
+        let mut dist_evals = 0u64;
+        while self.len() > kmax {
+            let n = self.len();
+            dist_evals += (n * (n - 1) / 2) as u64;
+            let (i, j) = table.closest(n);
+            self.merge(i, j);
+            table.merged(self, i, j);
+        }
+        dist_evals
+    }
+}
+
+/// The pairwise squared distances of a center set, kept in step with its
+/// merges: entry `(a, b)` with `a < b` is at `d[a * stride + b]`.
+struct MergeTable {
+    stride: usize,
+    d: Vec<f64>,
+}
+
+impl MergeTable {
+    fn new(set: &CenterSet) -> Self {
+        let n = set.len();
+        let mut d = vec![0.0; n * n];
+        for i in 0..n {
+            for j in i + 1..n {
+                d[i * n + j] = dist2(set.row(i), set.row(j));
+            }
+        }
+        MergeTable { stride: n, d }
+    }
+
+    /// The closest pair among the first `n` centers: the first strict
+    /// minimum in `(i, j)` order, `(0, 1)` if no distance is finite.
+    fn closest(&self, n: usize) -> (usize, usize) {
+        let mut best = (0, 1, f64::INFINITY);
+        for i in 0..n {
+            let row = &self.d[i * self.stride..][..n];
+            for (j, &d) in row.iter().enumerate().skip(i + 1) {
+                if d < best.2 {
+                    best = (i, j, d);
+                }
+            }
+        }
+        (best.0, best.1)
+    }
+
+    /// Follow `set.merge(i, j)`: the former last center now sits in slot
+    /// `j`, and center `i` moved. `dist2` is bitwise symmetric, so moved
+    /// entries equal what a rescan would compute.
+    fn merged(&mut self, set: &CenterSet, i: usize, j: usize) {
+        let (s, last) = (self.stride, set.len());
+        if j < last {
+            for k in 0..j {
+                self.d[k * s + j] = self.d[k * s + last];
+            }
+            for k in j + 1..last {
+                self.d[j * s + k] = self.d[k * s + last];
+            }
+        }
+        for k in 0..i {
+            self.d[k * s + i] = dist2(set.row(k), set.row(i));
+        }
+        for k in i + 1..last {
+            self.d[i * s + k] = dist2(set.row(i), set.row(k));
+        }
+    }
 }
 
 impl Centers {
+    /// A center set from `(position, weight)` rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a position is empty or the positions differ in length.
+    pub fn from_rows<P: AsRef<[f64]>>(rows: impl IntoIterator<Item = (P, f64)>) -> Self {
+        let mut set = CenterSet::default();
+        for (p, weight) in rows {
+            set.push(p.as_ref(), weight);
+        }
+        Centers {
+            set: CowBox::new(set),
+        }
+    }
+
+    /// Number of centers.
+    pub fn len(&self) -> usize {
+        self.set.len()
+    }
+
+    /// True when there are no centers.
+    pub fn is_empty(&self) -> bool {
+        self.set.len() == 0
+    }
+
     /// Mean center weight (the inertia that slows adaptation).
     pub fn mean_weight(&self) -> f64 {
-        if self.centers.is_empty() {
+        if self.is_empty() {
             return 0.0;
         }
-        self.centers.iter().map(|c| c.weight).sum::<f64>() / self.centers.len() as f64
+        self.set.weights.iter().sum::<f64>() / self.len() as f64
     }
 
     /// Average symmetric (Chamfer) distance between two center sets.
     pub fn chamfer(&self, other: &Centers) -> f64 {
-        fn one_way(a: &Centers, b: &Centers) -> f64 {
-            if a.centers.is_empty() || b.centers.is_empty() {
+        fn one_way(a: &CenterSet, b: &CenterSet) -> f64 {
+            if a.len() == 0 || b.len() == 0 {
                 return f64::INFINITY;
             }
-            a.centers
-                .iter()
+            a.rows()
                 .map(|ca| {
-                    b.centers
-                        .iter()
-                        .map(|cb| dist2(&ca.pos, &cb.pos))
+                    b.rows()
+                        .map(|cb| dist2(ca, cb))
                         .fold(f64::INFINITY, f64::min)
                         .sqrt()
                 })
                 .sum::<f64>()
-                / a.centers.len() as f64
+                / a.len() as f64
         }
-        0.5 * (one_way(self, other) + one_way(other, self))
+        0.5 * (one_way(&self.set, &other.set) + one_way(&other.set, &self.set))
     }
 }
 
@@ -105,60 +272,29 @@ impl StreamCluster {
         let mut dist_evals = 0u64;
         for p in points {
             let nearest = state
-                .centers
-                .iter()
+                .set
+                .rows()
                 .enumerate()
-                .map(|(i, c)| (i, dist2(p, &c.pos)))
+                .map(|(i, c)| (i, dist2(p, c)))
                 .min_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN"));
-            dist_evals += state.centers.len() as u64;
+            dist_evals += state.len() as u64;
             match nearest {
-                None => state.centers.push(Center {
-                    pos: p.to_vec(),
-                    weight: 1.0,
-                }),
+                None => state.set.push(p, 1.0),
                 Some((i, d2)) => {
                     // Random opening with probability proportional to the
                     // point's cost (the k-median online heuristic — this is
                     // the benchmark's nondeterminism).
                     let open_p = (d2 / self.open_cost).min(0.25);
-                    if state.centers.len() < 2 * self.kmax && rng.chance(open_p) {
-                        state.centers.push(Center {
-                            pos: p.to_vec(),
-                            weight: 1.0,
-                        });
+                    if state.len() < 2 * self.kmax && rng.chance(open_p) {
+                        state.set.push(p, 1.0);
                     } else {
-                        let c = &mut state.centers[i];
-                        c.weight += 1.0;
-                        let lr = 1.0 / c.weight.min(64.0);
-                        for (x, y) in c.pos.iter_mut().zip(p) {
-                            *x += lr * (y - *x);
-                        }
+                        state.set.absorb(i, p);
                     }
                 }
             }
         }
         // Consolidate: merge closest pairs until within kmax.
-        while state.centers.len() > self.kmax {
-            let mut best = (0, 1, f64::INFINITY);
-            for i in 0..state.centers.len() {
-                for j in i + 1..state.centers.len() {
-                    let d = dist2(&state.centers[i].pos, &state.centers[j].pos);
-                    dist_evals += 1;
-                    if d < best.2 {
-                        best = (i, j, d);
-                    }
-                }
-            }
-            let (i, j, _) = best;
-            let cj = state.centers.swap_remove(j);
-            let ci = &mut state.centers[i];
-            let total = ci.weight + cj.weight;
-            for (x, y) in ci.pos.iter_mut().zip(&cj.pos) {
-                *x = (*x * ci.weight + y * cj.weight) / total;
-            }
-            ci.weight = total;
-        }
-        dist_evals
+        dist_evals + state.set.consolidate(self.kmax)
     }
 }
 
@@ -190,17 +326,17 @@ impl StateDependence for StreamCluster {
         if take > 0 {
             dist_evals += self.refine_once(state, input.points().take(take), rng);
         }
-        for c in state.centers.iter_mut() {
-            c.weight *= self.weight_decay;
+        for w in state.set.weights.iter_mut() {
+            *w *= self.weight_decay;
         }
         // Batch clustering cost: mean distance to the nearest center.
         let cost: f64 = input
             .points()
             .map(|p| {
                 state
-                    .centers
-                    .iter()
-                    .map(|c| dist2(p, &c.pos))
+                    .set
+                    .rows()
+                    .map(|c| dist2(p, c))
                     .fold(f64::INFINITY, f64::min)
                     .sqrt()
             })
@@ -213,7 +349,7 @@ impl StateDependence for StreamCluster {
     }
 
     fn states_match(&self, a: &Centers, b: &Centers) -> bool {
-        if a.centers.len().abs_diff(b.centers.len()) > 4 {
+        if a.len().abs_diff(b.len()) > 4 {
             return false;
         }
         a.chamfer(b) <= self.tolerance
@@ -227,13 +363,13 @@ impl StateDependence for StreamCluster {
         match strategy {
             SnapshotStrategy::DeepClone => state.clone(),
             SnapshotStrategy::CopyOnWrite => Centers {
-                centers: state.centers.fork(),
+                set: state.set.fork(),
             },
         }
     }
 
     fn take_materialized(&self, state: &mut Centers) -> u64 {
-        state.centers.take_faults() as u64 * self.state_bytes() as u64
+        state.set.take_faults() as u64 * self.state_bytes() as u64
     }
 
     fn snapshot_copy_bytes(&self, strategy: SnapshotStrategy) -> u64 {
@@ -360,8 +496,8 @@ mod tests {
         let w = StreamCluster::paper();
         let inputs = w.generate_inputs(100, 2);
         let run = run_sequential(&w, &inputs, 7);
-        assert!(run.final_state.centers.len() <= w.kmax);
-        assert!(!run.final_state.centers.is_empty());
+        assert!(run.final_state.len() <= w.kmax);
+        assert!(!run.final_state.is_empty());
     }
 
     #[test]
@@ -394,22 +530,117 @@ mod tests {
 
     #[test]
     fn chamfer_distance_properties() {
-        let a = Centers {
-            centers: CowBox::new(vec![Center {
-                pos: vec![0.0, 0.0],
-                weight: 1.0,
-            }]),
-        };
-        let b = Centers {
-            centers: CowBox::new(vec![Center {
-                pos: vec![3.0, 4.0],
-                weight: 5.0,
-            }]),
-        };
+        let a = Centers::from_rows([([0.0, 0.0], 1.0)]);
+        let b = Centers::from_rows([([3.0, 4.0], 5.0)]);
         assert_eq!(a.chamfer(&a), 0.0);
         assert!((a.chamfer(&b) - 5.0).abs() < 1e-12);
         assert_eq!(a.chamfer(&b), b.chamfer(&a));
         assert_eq!(a.chamfer(&Centers::default()), f64::INFINITY);
+    }
+
+    /// The original consolidation, on one `(position, weight)` pair per
+    /// center: rescan every pair for each merge, `swap_remove` the second
+    /// center, blend it into the first. Returns the merges and the
+    /// distance evaluations.
+    fn consolidate_by_rescan(
+        centers: &mut Vec<(Vec<f64>, f64)>,
+        kmax: usize,
+    ) -> (Vec<(usize, usize)>, u64) {
+        let (mut merges, mut dist_evals) = (Vec::new(), 0u64);
+        while centers.len() > kmax {
+            let mut best = (0, 1, f64::INFINITY);
+            for i in 0..centers.len() {
+                for j in i + 1..centers.len() {
+                    let d = dist2(&centers[i].0, &centers[j].0);
+                    dist_evals += 1;
+                    if d < best.2 {
+                        best = (i, j, d);
+                    }
+                }
+            }
+            let (i, j, _) = best;
+            merges.push((i, j));
+            let (pj, wj) = centers.swap_remove(j);
+            let (pi, wi) = &mut centers[i];
+            let total = *wi + wj;
+            for (x, y) in pi.iter_mut().zip(&pj) {
+                *x = (*x * *wi + y * wj) / total;
+            }
+            *wi = total;
+        }
+        (merges, dist_evals)
+    }
+
+    /// The merges the cached table chooses, stepped as `consolidate` does.
+    fn cached_merges(set: &mut CenterSet, kmax: usize) -> Vec<(usize, usize)> {
+        let mut table = MergeTable::new(set);
+        let mut merges = Vec::new();
+        while set.len() > kmax {
+            let (i, j) = table.closest(set.len());
+            merges.push((i, j));
+            set.merge(i, j);
+            table.merged(set, i, j);
+        }
+        merges
+    }
+
+    fn bits(rows: impl IntoIterator<Item = (Vec<f64>, f64)>) -> Vec<(Vec<u64>, u64)> {
+        rows.into_iter()
+            .map(|(p, w)| (p.iter().map(|x| x.to_bits()).collect(), w.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn cached_consolidation_matches_the_full_rescan() {
+        let mut rng = StatsRng::from_seed_value(0x5C_0A11);
+        let (mut last_row_merges, mut inner_merges) = (0, 0);
+        for case in 0..300 {
+            let dims = rng.gen_range(1..=8usize);
+            let n = rng.gen_range(2..=30usize);
+            let kmax = rng.gen_range(1..n);
+            // Every third set sits on a coarse integer grid and every
+            // other one repeats some centers, so exact distance ties occur.
+            let grid = case % 3 == 0;
+            let mut rows: Vec<(Vec<f64>, f64)> = Vec::with_capacity(n);
+            for _ in 0..n {
+                let row = if case % 2 == 0 && !rows.is_empty() && rng.chance(0.3) {
+                    rows[rng.gen_range(0..rows.len())].0.clone()
+                } else if grid {
+                    (0..dims).map(|_| rng.gen_range(-2..=2i32) as f64).collect()
+                } else {
+                    (0..dims).map(|_| rng.noise(1.0)).collect()
+                };
+                rows.push((row, rng.gen_range(1..=50u32) as f64 * 0.5));
+            }
+
+            let mut oracle = rows.clone();
+            let (expected, expected_evals) = consolidate_by_rescan(&mut oracle, kmax);
+            let mut stepped = Centers::from_rows(rows.iter().map(|(p, w)| (p, *w)));
+            let merges = cached_merges(&mut stepped.set, kmax);
+            assert_eq!(merges, expected, "case {case}: merge sequence");
+            let mut consolidated = Centers::from_rows(rows.iter().map(|(p, w)| (p, *w)));
+            let evals = consolidated.set.consolidate(kmax);
+            assert_eq!(evals, expected_evals, "case {case}: dist_evals");
+            for got in [&stepped, &consolidated] {
+                let got = got
+                    .set
+                    .rows()
+                    .map(<[f64]>::to_vec)
+                    .zip(got.set.weights.clone());
+                assert_eq!(bits(got), bits(oracle.clone()), "case {case}: final set");
+            }
+
+            let mut len = n;
+            for (_, j) in merges {
+                if j == len - 1 {
+                    last_row_merges += 1;
+                } else {
+                    inner_merges += 1;
+                }
+                len -= 1;
+            }
+        }
+        assert!(last_row_merges > 0 && inner_merges > 0);
     }
 
     #[test]
@@ -422,11 +653,7 @@ mod tests {
         let mut rng = stats_core::rng::StatsRng::from_seed_value(3);
         for input in &inputs {
             w.update(&mut state, input, &mut rng);
-            assert!(
-                state.centers.len() <= w.kmax,
-                "{} centers",
-                state.centers.len()
-            );
+            assert!(state.len() <= w.kmax, "{} centers", state.len());
         }
     }
 

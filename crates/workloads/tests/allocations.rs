@@ -1,10 +1,11 @@
-//! Allocation counts of the particle-filter kernels, with no clock in
-//! them.
+//! Allocation counts of the particle-filter and streamcluster kernels,
+//! with no clock in them.
 //!
 //! A counting global allocator tallies allocations per thread, so tests
 //! running in parallel in this binary cannot pollute each other's counts.
 //! The counts repeat exactly from run to run: they pin that a filter step
-//! allocates per generation, not per particle.
+//! allocates per generation, not per particle, and that a center set
+//! allocates per set, not per center.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -13,6 +14,7 @@ use stats_core::rng::StatsRng;
 use stats_core::runtime::sequential::run_sequential;
 use stats_workloads::facedet_and_track::FaceDetAndTrack;
 use stats_workloads::particle::ParticleCloud;
+use stats_workloads::streamcluster::{Centers, StreamCluster};
 use stats_workloads::suite::Workload;
 
 // stats-analyzer: allow(ND004): allocation counter of this test binary's allocator, not workload state.
@@ -99,4 +101,25 @@ fn facedet_and_track_allocates_at_most_16_times_per_input() {
     });
     let per_input = allocations as f64 / inputs.len() as f64;
     assert!(per_input <= 16.0, "{per_input:.1} allocations per input");
+}
+
+#[test]
+fn streamcluster_allocates_at_most_4_times_per_input() {
+    let w = StreamCluster::paper();
+    let inputs = w.generate_inputs(300, 1);
+    let allocations = allocations_in(|| {
+        run_sequential(&w, &inputs, 1);
+    });
+    let per_input = allocations as f64 / inputs.len() as f64;
+    assert!(per_input <= 4.0, "{per_input:.1} allocations per input");
+}
+
+#[test]
+fn cloning_14_centers_allocates_at_most_3_times() {
+    let centers = Centers::from_rows((0..14).map(|i| (vec![f64::from(i); 8], 1.0)));
+    assert_eq!(centers.len(), 14);
+    let allocations = allocations_in(|| {
+        std::hint::black_box(centers.clone());
+    });
+    assert!(allocations <= 3, "{allocations} allocations");
 }

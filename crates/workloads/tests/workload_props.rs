@@ -10,7 +10,7 @@ use stats_workloads::facedet_and_track::FaceDetAndTrack;
 use stats_workloads::facetrack::FaceTrack;
 use stats_workloads::particle::ParticleCloud;
 use stats_workloads::streamclassifier::StreamClassifier;
-use stats_workloads::streamcluster::{Center, Centers, StreamCluster};
+use stats_workloads::streamcluster::{Centers, StreamCluster};
 use stats_workloads::suite::Workload;
 use stats_workloads::swaptions::Swaptions;
 
@@ -137,21 +137,12 @@ proptest! {
         ),
         shift in 0.0f64..2.0,
     ) {
-        let a = Centers {
-            centers: stats_core::CowBox::new(positions
+        let a = Centers::from_rows(positions.iter().map(|p| (p, 1.0)));
+        let b = Centers::from_rows(
+            positions
                 .iter()
-                .map(|p| Center { pos: p.clone(), weight: 1.0 })
-                .collect()),
-        };
-        let b = Centers {
-            centers: stats_core::CowBox::new(positions
-                .iter()
-                .map(|p| Center {
-                    pos: p.iter().map(|x| x + shift).collect(),
-                    weight: 3.0,
-                })
-                .collect()),
-        };
+                .map(|p| (p.iter().map(|x| x + shift).collect::<Vec<_>>(), 3.0)),
+        );
         prop_assert!(a.chamfer(&a) < 1e-12);
         prop_assert!((a.chamfer(&b) - b.chamfer(&a)).abs() < 1e-12);
         // Uniform shift of every center displaces the sets by <= shift*2
