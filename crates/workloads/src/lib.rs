@@ -19,12 +19,12 @@
 //! price accumulators), genuine nondeterminism through seeded
 //! [`StatsRng`](stats_core::StatsRng) streams, the short memory property,
 //! per-input cost variance (imbalance), and per-benchmark inner TLP.
-//! Inputs come from deterministic synthetic generators ([`synth`]) that
-//! carry ground truth, which powers the output-quality metrics of Fig. 16
-//! ([`quality`]). [`fluidanimate`] — the benchmark the paper *excluded* —
-//! is included as a negative control: its fluid state has long memory, so
-//! speculation aborts everywhere and STATS brings no speedup, exactly the
-//! paper's exclusion rationale.
+//! Inputs come from deterministic synthetic generators ([`synth`]) whose
+//! known parameters and ground truth power the output-quality metrics of
+//! Fig. 16 ([`quality`]). [`fluidanimate`] — the benchmark the paper
+//! *excluded* — is included as a negative control: its fluid state has
+//! long memory, so speculation aborts everywhere and STATS brings no
+//! speedup, exactly the paper's exclusion rationale.
 //!
 //! [`suite`] ties everything together: per-benchmark metadata (tuned
 //! configurations, native input scales, microarchitectural profiles) and a

@@ -2,11 +2,11 @@
 //!
 //! The paper scores trackers by "the average Euclidean distance between
 //! the boxes containing the detected faces", clusterers by their
-//! clustering cost, and the pricer by price error. All our synthetic
-//! streams carry ground truth, so the same scores are computable without
-//! reference outputs. Scores are normalized to `(0, 1]` where higher is
-//! better, so distributions from different benchmarks can share Fig. 16's
-//! axes.
+//! clustering cost, and the pricer by price error. Our synthetic streams
+//! carry ground truth or come from known parameters (a point stream's
+//! spread), so the same scores are computable without reference outputs.
+//! Scores are normalized to `(0, 1]` where higher is better, so
+//! distributions from different benchmarks can share Fig. 16's axes.
 
 use serde::{Deserialize, Serialize};
 

@@ -6,10 +6,12 @@
 //! with measurement noise and clutter for the trackers, drifting labeled
 //! Gaussian clusters for the stream benchmarks, and interest-rate batch
 //! descriptors for the pricer. Every stream is a pure function of its
-//! seed, and every element carries its ground truth so output quality can
-//! be scored without external references.
+//! seed, and output quality is scored without external references: frames
+//! carry their true pose and labeled batches their classes, swaptions
+//! prices against a fixed-seed oracle, and streamcluster scores its
+//! clustering cost against the generator's spread (point batches carry no
+//! ground truth).
 
-pub mod codec;
 mod image;
 mod points;
 mod rates;

@@ -3,51 +3,38 @@
 //! A batch keeps its points in one row-major coordinate buffer, the way
 //! PARSEC's streamcluster keeps them in one `block` array: `dims`
 //! consecutive values per point. This module is the only code that knows
-//! the layout; everything else reads rows through [`PointBatch::points`],
-//! [`PointBatch::true_centers`] and [`LabeledBatch::points`].
+//! the layout; everything else reads rows through [`PointBatch::points`]
+//! and [`LabeledBatch::points`].
 
 use serde::{Deserialize, Serialize};
 use stats_core::rng::StatsRng;
 use std::slice::ChunksExact;
 
 /// A batch of unlabeled points (streamcluster's unit of work).
+///
+/// It carries no ground truth: streamcluster scores its clustering cost
+/// against the generator's spread, not against the generating centers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PointBatch {
     dims: usize,
     /// Row-major points, `dims` values each.
     coords: Vec<f64>,
-    /// The generating cluster centers at this moment, row-major. Only
-    /// the generator's tests and the codec read them: no workload scores
-    /// against them.
-    true_centers: Vec<f64>,
 }
 
 impl PointBatch {
-    /// A batch of `dims`-dimensional points and generating centers, each
-    /// stored row-major.
+    /// A batch of `dims`-dimensional points, stored row-major.
     ///
     /// # Panics
     ///
-    /// Panics if `dims` is 0 or either buffer is not a whole number of
-    /// rows.
-    pub fn new(dims: usize, coords: Vec<f64>, true_centers: Vec<f64>) -> Self {
+    /// Panics if `dims` is 0 or `coords` is not a whole number of rows.
+    pub fn new(dims: usize, coords: Vec<f64>) -> Self {
         assert_rows(dims, coords.len());
-        assert_rows(dims, true_centers.len());
-        PointBatch {
-            dims,
-            coords,
-            true_centers,
-        }
+        PointBatch { dims, coords }
     }
 
     /// The points, one `dims`-long slice each.
     pub fn points(&self) -> ChunksExact<'_, f64> {
         self.coords.chunks_exact(self.dims)
-    }
-
-    /// The generating cluster centers, one `dims`-long slice each.
-    pub fn true_centers(&self) -> ChunksExact<'_, f64> {
-        self.true_centers.chunks_exact(self.dims)
     }
 
     /// Number of points.
@@ -157,57 +144,86 @@ impl PointStreamConfig {
         }
     }
 
-    fn drift_centers(&self, centers: &mut [f64], rng: &mut StatsRng) {
-        for x in centers.iter_mut() {
-            *x = (*x + rng.noise(self.drift)).clamp(-1.0, 1.0);
-        }
+    /// The unlabeled stream of `seed`, as [`generate`](Self::generate)
+    /// draws it.
+    fn stream(&self, seed: u64) -> Stream {
+        Stream::new(*self, seed ^ 0x0C10_57E2)
     }
 
-    fn initial_centers(&self, rng: &mut StatsRng) -> Vec<f64> {
-        (0..self.clusters * self.dims)
-            .map(|_| rng.noise(1.0))
-            .collect()
-    }
-
-    /// Append one point drawn around a random center to `coords`, and
-    /// return that center's index.
-    fn push_point(&self, centers: &[f64], coords: &mut Vec<f64>, rng: &mut StatsRng) -> usize {
-        let c = rng.gen_range(0..self.clusters);
-        let center = &centers[c * self.dims..(c + 1) * self.dims];
-        coords.extend(center.iter().map(|x| x + rng.gaussian() * self.spread));
-        c
+    /// The labeled stream of `seed`, as
+    /// [`generate_labeled`](Self::generate_labeled) draws it.
+    fn labeled_stream(&self, seed: u64) -> Stream {
+        Stream::new(*self, seed ^ 0x0C1A_55ED)
     }
 
     /// Generate `n` unlabeled batches.
     pub fn generate(&self, n: usize, seed: u64) -> Vec<PointBatch> {
-        let mut rng = StatsRng::from_seed_value(seed ^ 0x0C10_57E2);
-        let mut centers = self.initial_centers(&mut rng);
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            self.drift_centers(&mut centers, &mut rng);
-            let mut coords = Vec::with_capacity(self.batch * self.dims);
-            for _ in 0..self.batch {
-                self.push_point(&centers, &mut coords, &mut rng);
-            }
-            out.push(PointBatch::new(self.dims, coords, centers.clone()));
-        }
-        out
+        let mut stream = self.stream(seed);
+        (0..n)
+            .map(|_| PointBatch::new(self.dims, stream.next_batch(|_| {})))
+            .collect()
     }
 
     /// Generate `n` labeled batches.
     pub fn generate_labeled(&self, n: usize, seed: u64) -> Vec<LabeledBatch> {
-        let mut rng = StatsRng::from_seed_value(seed ^ 0x0C1A_55ED);
-        let mut centers = self.initial_centers(&mut rng);
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            self.drift_centers(&mut centers, &mut rng);
-            let mut coords = Vec::with_capacity(self.batch * self.dims);
-            let labels = (0..self.batch)
-                .map(|_| self.push_point(&centers, &mut coords, &mut rng))
-                .collect();
-            out.push(LabeledBatch::new(self.dims, coords, labels));
+        let mut stream = self.labeled_stream(seed);
+        (0..n)
+            .map(|_| {
+                let mut labels = Vec::with_capacity(self.batch);
+                let coords = stream.next_batch(|c| labels.push(c));
+                LabeledBatch::new(self.dims, coords, labels)
+            })
+            .collect()
+    }
+}
+
+/// A drifting Gaussian mixture in mid-stream: the one generator behind
+/// both kinds of batch.
+struct Stream {
+    cfg: PointStreamConfig,
+    rng: StatsRng,
+    /// The generating centers, row-major.
+    centers: Vec<f64>,
+}
+
+impl Stream {
+    fn new(cfg: PointStreamConfig, seed: u64) -> Self {
+        let mut rng = StatsRng::from_seed_value(seed);
+        let centers = (0..cfg.clusters * cfg.dims)
+            .map(|_| rng.noise(1.0))
+            .collect();
+        Stream { cfg, rng, centers }
+    }
+
+    /// Drift the centers, then draw one batch of points around them,
+    /// row-major. `label` sees the index of each point's center, in
+    /// order.
+    fn next_batch(&mut self, mut label: impl FnMut(usize)) -> Vec<f64> {
+        let PointStreamConfig {
+            dims,
+            clusters,
+            batch,
+            spread,
+            drift,
+        } = self.cfg;
+        for x in &mut self.centers {
+            *x = (*x + self.rng.noise(drift)).clamp(-1.0, 1.0);
         }
-        out
+        let mut coords = Vec::with_capacity(batch * dims);
+        for _ in 0..batch {
+            let c = self.rng.gen_range(0..clusters);
+            let center = &self.centers[c * dims..(c + 1) * dims];
+            coords.extend(center.iter().map(|x| x + self.rng.gaussian() * spread));
+            label(c);
+        }
+        coords
+    }
+
+    /// The generating centers of the last batch drawn, one `dims`-long
+    /// slice each.
+    #[cfg(test)]
+    fn centers(&self) -> ChunksExact<'_, f64> {
+        self.centers.chunks_exact(self.cfg.dims)
     }
 }
 
@@ -229,7 +245,6 @@ mod tests {
         for b in &batches {
             assert_eq!(b.len(), cfg.batch);
             assert_eq!(b.points().len(), cfg.batch);
-            assert_eq!(b.true_centers().len(), cfg.clusters);
             for p in b.points() {
                 assert_eq!(p.len(), cfg.dims);
             }
@@ -246,11 +261,12 @@ mod tests {
     #[test]
     fn points_cluster_near_true_centers() {
         let cfg = PointStreamConfig::cluster_stream();
-        let batches = cfg.generate(20, 9);
-        for b in &batches {
-            for p in b.points() {
-                let nearest = b
-                    .true_centers()
+        let mut stream = cfg.stream(9);
+        for _ in 0..20 {
+            let coords = stream.next_batch(|_| {});
+            for p in coords.chunks_exact(cfg.dims) {
+                let nearest = stream
+                    .centers()
                     .map(|c| dist2(p, c))
                     .fold(f64::INFINITY, f64::min);
                 // Within ~4 sigma of some center in most cases.
@@ -262,11 +278,15 @@ mod tests {
     #[test]
     fn centers_drift_over_time() {
         let cfg = PointStreamConfig::cluster_stream();
-        let batches = cfg.generate(500, 2);
-        let first = batches[0].true_centers();
-        let last = batches[499].true_centers();
+        let mut stream = cfg.stream(2);
+        stream.next_batch(|_| {});
+        let first = stream.centers.clone();
+        for _ in 1..500 {
+            stream.next_batch(|_| {});
+        }
         let moved: f64 = first
-            .zip(last)
+            .chunks_exact(cfg.dims)
+            .zip(stream.centers())
             .map(|(a, b)| dist2(a, b).sqrt())
             .sum::<f64>()
             / cfg.clusters as f64;
@@ -285,10 +305,9 @@ mod tests {
 
     #[test]
     fn rows_read_back_in_the_order_they_were_stored() {
-        let b = PointBatch::new(2, vec![1.0, 2.0, 3.0, 4.0], vec![5.0, 6.0]);
+        let b = PointBatch::new(2, vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(b.len(), 2);
         assert_eq!(b.points().collect::<Vec<_>>(), [[1.0, 2.0], [3.0, 4.0]]);
-        assert_eq!(b.true_centers().collect::<Vec<_>>(), [[5.0, 6.0]]);
         let l = LabeledBatch::new(3, vec![0.0; 6], vec![1, 0]);
         assert_eq!(l.points().len(), 2);
         assert_eq!(l.labels(), [1, 0]);
@@ -297,7 +316,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "not rows of 3")]
     fn a_partial_row_is_refused() {
-        PointBatch::new(3, vec![0.0; 4], vec![]);
+        PointBatch::new(3, vec![0.0; 4]);
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Allocation counts of the particle-filter and streamcluster kernels,
-//! with no clock in them.
+//! Allocation counts of the particle-filter and streamcluster kernels and
+//! of the point-stream generator, with no clock in them.
 //!
 //! A counting global allocator tallies allocations per thread, so tests
 //! running in parallel in this binary cannot pollute each other's counts.
 //! The counts repeat exactly from run to run: they pin that a filter step
-//! allocates per generation, not per particle, and that a center set
-//! allocates per set, not per center.
+//! allocates per generation, not per particle, that a center set
+//! allocates per set, not per center, and that a point batch is one
+//! buffer.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -16,6 +17,7 @@ use stats_workloads::facedet_and_track::FaceDetAndTrack;
 use stats_workloads::particle::ParticleCloud;
 use stats_workloads::streamcluster::{Centers, StreamCluster};
 use stats_workloads::suite::Workload;
+use stats_workloads::synth::PointStreamConfig;
 
 // stats-analyzer: allow(ND004): allocation counter of this test binary's allocator, not workload state.
 thread_local! {
@@ -122,4 +124,19 @@ fn cloning_14_centers_allocates_at_most_3_times() {
         std::hint::black_box(centers.clone());
     });
     assert!(allocations <= 3, "{allocations} allocations");
+}
+
+#[test]
+fn a_point_stream_allocates_once_per_batch() {
+    let cfg = PointStreamConfig::cluster_stream();
+    for n in [1, 64] {
+        let allocations = allocations_in(|| {
+            std::hint::black_box(cfg.generate(n, 1));
+        });
+        // One coordinate buffer per batch, the batch vector, the centers.
+        assert!(
+            allocations <= n as u64 + 2,
+            "{n} batches: {allocations} allocations"
+        );
+    }
 }
