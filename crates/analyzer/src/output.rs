@@ -21,26 +21,8 @@
 //! ```
 
 use crate::lint::Report;
+use stats_trace::chrome::json_escape;
 use std::fmt::Write as _;
-
-/// Escape a string for a JSON string literal (quotes not included).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Render the full report as a JSON document (trailing newline included).
 pub fn json_report(report: &Report) -> String {
@@ -172,12 +154,6 @@ mod tests {
         assert!(text.contains("\"total\": 2"));
         assert!(text.contains("\"unwaived\": 1"));
         assert!(text.contains("\"static_sites\""));
-    }
-
-    #[test]
-    fn json_escapes_quotes_and_control_chars() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

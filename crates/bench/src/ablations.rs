@@ -35,28 +35,6 @@ pub struct Sweep {
     pub points: Vec<SweepPoint>,
 }
 
-impl Sweep {
-    /// Relative speedup change from the first to the last point.
-    pub fn relative_change(&self) -> f64 {
-        let first = self.points.first().map(|p| p.speedup).unwrap_or(0.0);
-        let last = self.points.last().map(|p| p.speedup).unwrap_or(0.0);
-        if first == 0.0 {
-            0.0
-        } else {
-            (last - first) / first
-        }
-    }
-
-    /// The x value with the best speedup.
-    pub fn best_x(&self) -> f64 {
-        self.points
-            .iter()
-            .max_by(|a, b| a.speedup.partial_cmp(&b.speedup).expect("no NaN"))
-            .map(|p| p.x)
-            .unwrap_or(0.0)
-    }
-}
-
 /// A machine whose synchronization-related costs are scaled by `factor`.
 fn machine_with_sync_factor(factor: f64) -> Machine {
     let mut cm = CostModel::default();
@@ -503,18 +481,34 @@ mod tests {
 
     const SCALE: Scale = Scale(0.15);
 
+    /// Relative speedup change from the first to the last point.
+    fn relative_change(sweep: &Sweep) -> f64 {
+        let first = sweep.points.first().map(|p| p.speedup).unwrap_or(0.0);
+        let last = sweep.points.last().map(|p| p.speedup).unwrap_or(0.0);
+        if first == 0.0 {
+            0.0
+        } else {
+            (last - first) / first
+        }
+    }
+
+    /// The x value with the best speedup.
+    fn best_x(sweep: &Sweep) -> f64 {
+        sweep
+            .points
+            .iter()
+            .max_by(|a, b| a.speedup.partial_cmp(&b.speedup).expect("no NaN"))
+            .map(|p| p.x)
+            .unwrap_or(0.0)
+    }
+
     #[test]
     fn facedet_is_most_sync_elastic() {
         // Fig. 10's sync attribution, verified causally: scaling sync
         // costs hurts facedet-and-track relatively more than swaptions.
         let sweeps = sync_cost_sweep(SCALE);
-        let rel = |name: &str| {
-            sweeps
-                .iter()
-                .find(|s| s.benchmark == name)
-                .unwrap()
-                .relative_change()
-        };
+        let rel =
+            |name: &str| relative_change(sweeps.iter().find(|s| s.benchmark == name).unwrap());
         // relative_change is (4x-sync minus no-sync)/no-sync: negative,
         // and most negative for the sync-bound benchmark.
         assert!(
@@ -547,13 +541,8 @@ mod tests {
         // §V-C: "improving STATS by accelerating the state copy operator
         // is still valuable" — most so for the 500 KB-state benchmark.
         let sweeps = copy_acceleration_sweep(SCALE);
-        let gain = |name: &str| {
-            sweeps
-                .iter()
-                .find(|s| s.benchmark == name)
-                .unwrap()
-                .relative_change()
-        };
+        let gain =
+            |name: &str| relative_change(sweeps.iter().find(|s| s.benchmark == name).unwrap());
         for other in ["swaptions", "streamclassifier", "facetrack"] {
             assert!(
                 gain("bodytrack") >= gain(other) - 1e-9,
@@ -681,7 +670,7 @@ mod tests {
         // extreme maximum for facetrack.
         let sweep = lookback_sweep("facetrack", Scale(0.5));
         assert!(sweep.points.len() >= 3);
-        let best = sweep.best_x();
+        let best = best_x(&sweep);
         assert!(best >= 2.0, "best k {best} suspiciously small");
     }
 }

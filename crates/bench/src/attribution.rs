@@ -364,23 +364,6 @@ pub fn attribute<W: Workload>(
     }
 }
 
-/// Decompose a realized schedule's critical path by category: every cycle
-/// of the makespan is attributed to the task category occupying it on the
-/// binding chain (the direct \[26\]-style view, complementary to the
-/// what-if re-scheduling used by [`attribute`]).
-pub fn critical_path_composition(
-    result: &stats_platform::ExecutionResult,
-    graph: &stats_platform::TaskGraph,
-) -> Vec<(Category, Cycles)> {
-    let mut totals: std::collections::BTreeMap<Category, u64> = std::collections::BTreeMap::new();
-    for task in result.critical_path() {
-        let entry = result.entry(task);
-        let cat = graph.get(task).category;
-        *totals.entry(cat).or_default() += (entry.end - entry.start).get();
-    }
-    totals.into_iter().map(|(c, v)| (c, Cycles(v))).collect()
-}
-
 /// Scale the compute-task durations of each thread by its factor.
 fn patch_durations(graph: &mut stats_platform::TaskGraph, scales: &BTreeMap<ThreadId, f64>) {
     // TaskGraph has no mutable task access by design; rebuild through the
@@ -483,38 +466,6 @@ mod tests {
                 b.total_lost_percent()
             );
         }
-    }
-
-    #[test]
-    fn critical_path_composition_covers_the_makespan() {
-        use stats_core::runtime::simulated::{build_task_graph, GraphOptions};
-        use stats_core::speculation::run_speculative;
-        use stats_core::StateDependence as _;
-        let machines = Machines::paper();
-        let w = Swaptions::paper();
-        let scale = Scale(0.1);
-        let n = scale.inputs_for(&w);
-        let inputs = w.generate_inputs(n, FIGURE_SEED);
-        let cfg = tuned_config(&w, 28, scale);
-        let outcome = run_speculative(&w, &inputs, cfg, FIGURE_SEED);
-        let opts = GraphOptions {
-            inner: w.inner_parallelism(),
-            assume_all_commit: false,
-            outside_work: w.outside_region_work(),
-            sync_ops_per_update: w.sync_ops_per_update(),
-            lazy_replicas: false,
-        };
-        let graph = build_task_graph("cp", &outcome, &machines.cores28, &opts);
-        let result = machines.cores28.execute(&graph).unwrap();
-        let composition = critical_path_composition(&result, &graph);
-        let covered: u64 = composition.iter().map(|(_, c)| c.get()).sum();
-        // The binding chain is contiguous: it accounts for every cycle of
-        // the makespan.
-        assert_eq!(covered, result.makespan.get());
-        // Useful work must appear on the critical path.
-        assert!(composition
-            .iter()
-            .any(|(c, v)| *c == Category::ChunkCompute && v.get() > 0));
     }
 
     #[test]

@@ -42,7 +42,7 @@ use stats_core::config::Config;
 use stats_core::fault::FaultPlan;
 use stats_core::report::ChunkDecision;
 use stats_core::runtime::pool::WorkerPool;
-use stats_core::runtime::threaded::{run_threaded_faulted_on, run_threaded_on};
+use stats_core::runtime::threaded::run_threaded_faulted_on;
 use stats_platform::{CostModel, Machine, Topology};
 use stats_telemetry::json::JsonObject;
 use stats_telemetry::profiler::{WhatIfs, WALL_LOSSES};
@@ -108,23 +108,6 @@ pub struct ProfileReport {
 }
 
 impl ProfileReport {
-    /// Mean loss for one group.
-    pub fn loss_mean(&self, loss: WallLoss) -> f64 {
-        self.losses
-            .iter()
-            .find(|(l, _)| *l == loss)
-            .map_or(0.0, |(_, e)| e.mean)
-    }
-
-    /// Losses normalized to shares of their sum (all zero when no loss).
-    pub fn normalized_losses(&self) -> Vec<(WallLoss, f64)> {
-        let total: f64 = self.losses.iter().map(|(_, e)| e.mean).sum();
-        self.losses
-            .iter()
-            .map(|(l, e)| (*l, if total > 0.0 { e.mean / total } else { 0.0 }))
-            .collect()
-    }
-
     /// Serialize as one JSON object (used by `stats profile --format json`).
     pub fn to_json(&self) -> String {
         let est = |e: &Estimate| format!("{{\"mean\":{:.6},\"ci\":{:.6}}}", e.mean, e.half_width);
@@ -294,44 +277,6 @@ pub fn profile_workload_faulted<W: Workload>(
     }
 }
 
-/// Measured profiling overhead in percent: min-over-`reps` wall time of
-/// a profiled run vs. a counters-only run on the same pool. Negative
-/// values mean the difference drowned in scheduler noise.
-pub fn profiling_overhead_pct<W: Workload>(
-    w: &W,
-    pool: &WorkerPool,
-    scale: Scale,
-    seed: u64,
-    reps: usize,
-) -> f64 {
-    let n = scale.inputs_for(w);
-    let inputs = w.generate_inputs(n, seed);
-    let cfg = tuned_config(w, 28, scale);
-    let min_ns = |profiled: bool| -> f64 {
-        let mut best = f64::INFINITY;
-        // One warm-up plus `reps` timed runs, minimum taken — the
-        // standard low-noise estimator for deterministic work.
-        for r in 0..=reps {
-            let sink = if profiled {
-                Some(
-                    TelemetrySink::new(cfg.chunks.max(1))
-                        .with_profiler(Profiler::new(pool.workers())),
-                )
-            } else {
-                Some(TelemetrySink::new(cfg.chunks.max(1)))
-            };
-            let run = run_threaded_on(pool, w, &inputs, cfg, seed, sink.as_ref());
-            if r > 0 {
-                best = best.min(run.elapsed.as_nanos() as f64);
-            }
-        }
-        best
-    };
-    let bare = min_ns(false);
-    let prof = min_ns(true);
-    (prof - bare) / bare * 100.0
-}
-
 // ---------------------------------------------------------------------------
 // Native vs. simulated shape comparison
 // ---------------------------------------------------------------------------
@@ -378,13 +323,6 @@ pub struct ShapeComparison {
     /// what-if degrades its baseline, and doubling workers helps both
     /// whenever both have headroom).
     pub whatif_directions_agree: bool,
-}
-
-impl ShapeComparison {
-    /// True when orderings and what-if directions both agree.
-    pub fn agrees(&self) -> bool {
-        self.inversions.is_empty() && self.whatif_directions_agree
-    }
 }
 
 fn normalized(groups: &[(WallLoss, f64)]) -> Vec<(WallLoss, f64)> {
@@ -625,7 +563,7 @@ mod tests {
         let (sim, whatifs, base) = simulated_reference(&w, 2, Scale(0.1), FIGURE_SEED);
         let cmp = compare_shapes(&report, &sim, &whatifs, base);
         assert!(
-            cmp.agrees(),
+            cmp.inversions.is_empty() && cmp.whatif_directions_agree,
             "swaptions shape must agree: inversions {:?}, native {:?}, simulated {:?}",
             cmp.inversions,
             cmp.native,

@@ -1,8 +1,6 @@
 //! Shared experiment plumbing: scales, machines, and standard runs.
 
-use stats_core::runtime::sequential::run_sequential;
-use stats_core::runtime::simulated::{build_task_graph, GraphOptions, SimulatedRuntime};
-use stats_core::speculation::{run_speculative, SpeculationOutcome};
+use stats_core::runtime::simulated::SimulatedRuntime;
 use stats_core::{Config, RunReport};
 use stats_platform::{CostModel, Machine, Topology};
 use stats_workloads::Workload;
@@ -100,51 +98,6 @@ pub fn clamp_config(mut config: Config, inputs: usize) -> Config {
 pub fn tuned_config<W: Workload>(workload: &W, cores: usize, scale: Scale) -> Config {
     let n = scale.inputs_for(workload);
     clamp_config(workload.tuned_config(cores), n)
-}
-
-/// Produce the `(outcome, graph options, sequential cycles, sequential
-/// instructions)` bundle the attribution analysis consumes.
-pub fn semantic_run<W: Workload>(
-    workload: &W,
-    machine: &Machine,
-    config: Config,
-    scale: Scale,
-    seed: u64,
-) -> (
-    SpeculationOutcome<W::Output>,
-    GraphOptions,
-    stats_trace::Cycles,
-    u64,
-) {
-    let n = scale.inputs_for(workload);
-    let inputs = workload.generate_inputs(n, seed);
-    let outcome = run_speculative(workload, &inputs, config, seed);
-    let opts = GraphOptions {
-        inner: workload.inner_parallelism(),
-        assume_all_commit: false,
-        outside_work: workload.outside_region_work(),
-        sync_ops_per_update: workload.sync_ops_per_update(),
-        lazy_replicas: false,
-    };
-    let seq = run_sequential(workload, &inputs, seed);
-    let outside = opts.outside_work.0 + opts.outside_work.1;
-    let seq_cycles = machine.cost_model().work(seq.cost.work + outside);
-    let seq_instr = seq.cost.instructions + outside * 2;
-    (outcome, opts, seq_cycles, seq_instr)
-}
-
-/// Execute an outcome's graph and return its speedup over the sequential
-/// baseline.
-pub fn speedup_of<O>(
-    name: &str,
-    outcome: &SpeculationOutcome<O>,
-    machine: &Machine,
-    opts: &GraphOptions,
-    seq_cycles: stats_trace::Cycles,
-) -> f64 {
-    let graph = build_task_graph(name, outcome, machine, opts);
-    let result = machine.execute(&graph).expect("acyclic");
-    result.speedup_vs(seq_cycles)
 }
 
 /// Geometric mean of positive values.

@@ -24,11 +24,6 @@ pub struct ScalingRow {
 }
 
 impl ScalingRow {
-    /// Whether speedup is non-decreasing along the axis (within `slack`).
-    pub fn is_monotone(&self, slack: f64) -> bool {
-        self.samples.windows(2).all(|w| w[1].1 >= w[0].1 - slack)
-    }
-
     /// Ratio of the last sample's speedup to the first's.
     pub fn growth(&self) -> f64 {
         match (self.samples.first(), self.samples.last()) {
@@ -160,6 +155,11 @@ pub fn render() -> String {
 mod tests {
     use super::*;
 
+    /// Whether speedup is non-decreasing along the axis (within `slack`).
+    fn is_monotone(row: &ScalingRow, slack: f64) -> bool {
+        row.samples.windows(2).all(|w| w[1].1 >= w[0].1 - slack)
+    }
+
     #[test]
     fn speedup_grows_with_input_size() {
         let rows = input_scaling(&[0.1, 0.4, 1.0]);
@@ -191,7 +191,7 @@ mod tests {
         let rows = input_scaling(&[0.125, 0.5, 1.0]);
         for r in &rows {
             assert!(
-                r.is_monotone(2.5),
+                is_monotone(r, 2.5),
                 "{}: speedup regressed along input size: {:?}",
                 r.benchmark,
                 r.samples

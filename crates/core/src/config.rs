@@ -154,11 +154,6 @@ impl Config {
         Ok(())
     }
 
-    /// Whether the configuration actually speculates.
-    pub fn is_speculative(&self) -> bool {
-        self.chunks > 1
-    }
-
     /// Number of pool-scheduled segments the rerun of an aborted chunk of
     /// `len` inputs splits into. Both runtimes (and the telemetry
     /// reconciliation) derive the `RerunSegments` counter from this one

@@ -35,10 +35,7 @@
 //! * [`InnerParallelism`] — the model of the benchmarks' pre-existing
 //!   ("original") TLP, so the three configurations of Fig. 9 can be
 //!   compared.
-//! * [`Stats`] — a fluent builder tying it all together
-//!   (`Stats::of(&workload).chunks(28).run_simulated(&inputs, seed)`).
 
-pub mod builder;
 pub mod config;
 pub mod dependence;
 pub mod fault;
@@ -50,7 +47,6 @@ pub mod snapshot;
 pub mod speculation;
 pub mod tlp;
 
-pub use builder::{Stats, StatsError};
 pub use config::{Config, ConfigError, DesignSpace};
 pub use dependence::{StateDependence, UpdateCost};
 pub use fault::{FaultKind, FaultPlan, FaultSite, FaultSpec, FaultTotals, Injection};

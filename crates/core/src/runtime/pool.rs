@@ -100,7 +100,7 @@ thread_local! {
 /// Doom the pool worker running the current job: it finishes the job,
 /// then exits (see the module docs on failure semantics). A no-op on
 /// threads that are not pool workers — the flag is only ever read by
-/// [`worker_loop`].
+/// `worker_loop`.
 pub fn doom_current_worker() {
     DOOMED.with(|d| d.set(true));
 }
@@ -507,12 +507,6 @@ impl<S: Clone> StatePool<S> {
         self.len() == 0
     }
 
-    /// Number of spare buffers currently held (alias kept for callers
-    /// predating [`StatePool::len`]).
-    pub fn spares(&self) -> usize {
-        self.len()
-    }
-
     /// The most spares ever held at once: the pool's memory high-water
     /// mark, bounded by its capacity.
     pub fn high_water(&self) -> usize {
@@ -769,11 +763,11 @@ mod tests {
         drop(a);
         pool.note_leak();
         assert_eq!(pool.leaked(), 1);
-        assert_eq!(pool.spares(), 0, "a leaked buffer must not reappear");
+        assert_eq!(pool.len(), 0, "a leaked buffer must not reappear");
         let b = pool.copy_of(&vec![7]);
         assert_eq!(b, vec![7]);
         pool.recycle(b);
-        assert_eq!(pool.spares(), 1);
+        assert_eq!(pool.len(), 1);
         assert_eq!(pool.leaked(), 1, "recycling is independent of leaks");
     }
 
@@ -790,14 +784,14 @@ mod tests {
         let a = pool.copy_of(&src);
         assert_eq!(a, src);
         pool.recycle(a);
-        assert_eq!(pool.spares(), 1);
+        assert_eq!(pool.len(), 1);
         let b = pool.copy_of(&vec![9, 9]);
         assert_eq!(b, vec![9, 9]);
-        assert_eq!(pool.spares(), 0);
+        assert_eq!(pool.len(), 0);
         // Capacity bounds retained spares.
         pool.recycle(vec![1]);
         pool.recycle(vec![2]);
         pool.recycle(vec![3]);
-        assert_eq!(pool.spares(), 2);
+        assert_eq!(pool.len(), 2);
     }
 }

@@ -16,13 +16,6 @@ pub struct SequentialRun<S, O> {
     pub per_input_costs: Vec<UpdateCost>,
 }
 
-impl<S, O> SequentialRun<S, O> {
-    /// Total work units including the program's outside-region work.
-    pub fn total_work_with_outside(&self, outside: (u64, u64)) -> u64 {
-        self.cost.work + outside.0 + outside.1
-    }
-}
-
 /// Run the workload sequentially over `inputs` with the given master seed.
 ///
 /// This is the program as originally written: one state, one dependence
@@ -109,11 +102,5 @@ mod tests {
         assert!(run.outputs.is_empty());
         assert_eq!(run.final_state, 0);
         assert_eq!(run.cost, UpdateCost::default());
-    }
-
-    #[test]
-    fn outside_work_adds_up() {
-        let run = run_sequential(&Sum, &[1], 0);
-        assert_eq!(run.total_work_with_outside((5, 7)), 22);
     }
 }

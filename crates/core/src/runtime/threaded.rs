@@ -19,7 +19,7 @@
 //!   one that becomes final the coordinator validates the next chunk
 //!   against states it already holds. Only a boundary sealed by something
 //!   else (a breadth candidate above 0, a rerun) re-derives its replicas
-//!   on the pool's *urgent* lane behind a [`ReplicaSet`] rendezvous.
+//!   on the pool's *urgent* lane behind a `ReplicaSet` rendezvous.
 //!   Replicas are pure functions of (snapshot, inputs, derived stream),
 //!   so both routes produce the same states, and validation still happens
 //!   on the coordinator, strictly in chunk order (DESIGN.md §9 gives the

@@ -80,21 +80,6 @@ impl EnergyModel {
         core_energy + uncore_energy
     }
 
-    /// [`EnergyModel::energy_joules`] for a machine described by counts
-    /// instead of a [`Topology`] value (convenience for report consumers
-    /// that only carry a core count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores` is not divisible by `sockets` or either is zero.
-    pub fn energy_joules_for(&self, trace: &Trace, cores: usize, sockets: usize) -> f64 {
-        assert!(
-            sockets > 0 && cores.is_multiple_of(sockets),
-            "invalid machine shape"
-        );
-        self.energy_joules(trace, &Topology::new(sockets, cores / sockets))
-    }
-
     /// Energy–delay product in joule-seconds (a common autotuner
     /// objective alongside plain runtime).
     pub fn energy_delay(&self, trace: &Trace, topology: &Topology) -> f64 {

@@ -65,17 +65,6 @@ impl TaskGraph {
         self.task_full(thread, category, duration, 0, Vec::new(), None)
     }
 
-    /// Append a task with an instruction count.
-    pub fn task_instr(
-        &mut self,
-        thread: ThreadId,
-        category: Category,
-        duration: Cycles,
-        instructions: u64,
-    ) -> TaskId {
-        self.task_full(thread, category, duration, instructions, Vec::new(), None)
-    }
-
     /// Append a fully specified task.
     pub fn task_full(
         &mut self,
@@ -183,11 +172,22 @@ impl TaskGraph {
 mod tests {
     use super::*;
 
+    /// Append a task with an instruction count.
+    fn task_instr(
+        g: &mut TaskGraph,
+        thread: ThreadId,
+        category: Category,
+        duration: Cycles,
+        instructions: u64,
+    ) -> TaskId {
+        g.task_full(thread, category, duration, instructions, Vec::new(), None)
+    }
+
     #[test]
     fn build_and_inspect() {
         let mut g = TaskGraph::new("t");
         let a = g.task(ThreadId(0), Category::Setup, Cycles(5));
-        let b = g.task_instr(ThreadId(1), Category::ChunkCompute, Cycles(10), 7);
+        let b = task_instr(&mut g, ThreadId(1), Category::ChunkCompute, Cycles(10), 7);
         g.depend(a, b);
         assert_eq!(g.len(), 2);
         assert_eq!(g.thread_count(), 2);
@@ -207,8 +207,8 @@ mod tests {
     #[test]
     fn without_category_zeroes_durations() {
         let mut g = TaskGraph::new("t");
-        g.task_instr(ThreadId(0), Category::Sync, Cycles(100), 5);
-        g.task_instr(ThreadId(0), Category::ChunkCompute, Cycles(10), 9);
+        task_instr(&mut g, ThreadId(0), Category::Sync, Cycles(100), 5);
+        task_instr(&mut g, ThreadId(0), Category::ChunkCompute, Cycles(10), 9);
         let g2 = g.without_category(Category::Sync);
         assert_eq!(g2.tasks()[0].duration, Cycles::ZERO);
         assert_eq!(g2.tasks()[0].instructions, 0);

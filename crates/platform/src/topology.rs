@@ -81,22 +81,6 @@ impl Topology {
         self.sockets * self.cores_per_socket
     }
 
-    /// Socket that hosts `core`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn socket_of(&self, core: CoreId) -> SocketId {
-        assert!(core.0 < self.total_cores(), "core {core} out of range");
-        SocketId(core.0 / self.cores_per_socket)
-    }
-
-    /// Whether two cores live on different sockets (communication between
-    /// them crosses the QPI interconnect).
-    pub fn cross_socket(&self, a: CoreId, b: CoreId) -> bool {
-        self.socket_of(a) != self.socket_of(b)
-    }
-
     /// All cores, in id order.
     pub fn cores(&self) -> impl Iterator<Item = CoreId> {
         (0..self.total_cores()).map(CoreId)
@@ -131,28 +115,6 @@ mod tests {
         assert_eq!(t.total_cores(), 28);
         assert_eq!(t.sockets(), 2);
         assert_eq!(Topology::paper_single_socket().total_cores(), 14);
-    }
-
-    #[test]
-    fn socket_mapping_is_socket_major() {
-        let t = Topology::paper_machine();
-        assert_eq!(t.socket_of(CoreId(0)), SocketId(0));
-        assert_eq!(t.socket_of(CoreId(13)), SocketId(0));
-        assert_eq!(t.socket_of(CoreId(14)), SocketId(1));
-        assert_eq!(t.socket_of(CoreId(27)), SocketId(1));
-    }
-
-    #[test]
-    fn cross_socket_detection() {
-        let t = Topology::paper_machine();
-        assert!(!t.cross_socket(CoreId(0), CoreId(13)));
-        assert!(t.cross_socket(CoreId(13), CoreId(14)));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn socket_of_rejects_out_of_range() {
-        Topology::paper_machine().socket_of(CoreId(28));
     }
 
     #[test]

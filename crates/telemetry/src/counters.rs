@@ -1,6 +1,6 @@
 //! The sharded atomic metrics core.
 //!
-//! One [`Shard`] per worker, one cache line per shard, one relaxed
+//! One `Shard` per worker, one cache line per shard, one relaxed
 //! `fetch_add` per recording — the hot path never takes a lock and never
 //! contends with other workers. Aggregation happens only at snapshot
 //! time, which double-reads all shards until two passes agree so a

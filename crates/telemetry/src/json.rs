@@ -1,34 +1,13 @@
 //! Minimal JSON emission and validation.
 //!
 //! The workbench's dependency policy keeps the offline crate set small,
-//! so — like `stats_trace::chrome` — this module hand-writes the tiny
-//! JSON subset telemetry needs: flat objects of strings, integers,
-//! floats, and booleans, plus a validating parser used by tests to prove
-//! every emitted line is well-formed.
+//! so — like `stats_trace::chrome`, whose string escaper it shares — this
+//! module hand-writes the tiny JSON subset telemetry needs: flat objects
+//! of strings, integers, floats, and booleans, plus a validating parser
+//! used by tests to prove every emitted line is well-formed.
 
+use stats_trace::chrome::json_escape;
 use std::fmt::Write as _;
-
-/// Escape a string for a JSON string literal (same approach as the
-/// Chrome-trace exporter: quotes, backslashes, and all control characters
-/// below U+0020; everything else — including non-ASCII — passes through
-/// as UTF-8).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Incremental builder for one flat JSON object.
 ///
@@ -60,14 +39,14 @@ impl JsonObject {
             self.buf.push(',');
         }
         self.any = true;
-        let _ = write!(self.buf, "\"{}\":", escape(k));
+        let _ = write!(self.buf, "\"{}\":", json_escape(k));
         self
     }
 
     /// Add a string field.
     pub fn str(&mut self, k: &str, v: &str) -> &mut Self {
         self.key(k);
-        let _ = write!(self.buf, "\"{}\"", escape(v));
+        let _ = write!(self.buf, "\"{}\"", json_escape(v));
         self
     }
 
@@ -308,15 +287,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn escapes_quotes_backslashes_and_controls() {
-        assert_eq!(escape("a\"b"), "a\\\"b");
-        assert_eq!(escape("a\\b"), "a\\\\b");
-        assert_eq!(escape("a\nb\tc\r"), "a\\nb\\tc\\r");
-        assert_eq!(escape("\u{1}\u{1f}"), "\\u0001\\u001f");
-        assert_eq!(escape("λ→中"), "λ→中");
-    }
-
-    #[test]
     fn object_builder_produces_valid_json() {
         let mut o = JsonObject::new();
         o.str("s", "va\"l\\ue\n")
@@ -383,7 +353,7 @@ mod tests {
             "unicode λ→中 😀",
             "trailing backslash \\",
         ] {
-            let line = format!("{{\"k\":\"{}\"}}", escape(hostile));
+            let line = format!("{{\"k\":\"{}\"}}", json_escape(hostile));
             validate(&line).unwrap_or_else(|e| panic!("{hostile:?}: {e}"));
         }
     }

@@ -11,12 +11,13 @@
 //!    [`crate::clock::monotonic_ns`], the single sanctioned wall-clock
 //!    read. When a ring fills, further records are dropped and counted —
 //!    never blocked on.
-//! 2. **Assemble** — after the run quiesces, [`WallProfile::assemble`]
-//!    drains the rings, sorts spans, and relabels the speculative
-//!    compute of aborted chunks — and the replica replays a losing
-//!    candidate 0 made for the boundary it sealed — to
-//!    [`Category::AbortedCompute`] using the run's decision vector and
-//!    span order (the capture path stays decision-blind).
+//! 2. **Assemble** — after the run quiesces,
+//!    [`WallProfile::assemble_with_breadth`] drains the rings, sorts
+//!    spans, and relabels the speculative compute of aborted chunks —
+//!    and the replica replays a losing candidate 0 made for the boundary
+//!    it sealed — to [`Category::AbortedCompute`] using the run's
+//!    decision vector and span order (the capture path stays
+//!    decision-blind).
 //! 3. **Attribute** — [`WallProfile::attribute`] replays the captured
 //!    span graph through a small discrete-event model of the pool
 //!    (normal lane for chunk tasks and the replicas they replay, urgent
@@ -443,23 +444,16 @@ fn replayed_early(s: &WallSpan, sealed: &[u64]) -> Option<bool> {
 }
 
 impl WallProfile {
-    /// Drain `profiler` and assemble a profile for a run that made the
-    /// given per-chunk abort decisions and took `elapsed_ns` of wall
-    /// time. The earliest `ChunkCompute` span of each aborted chunk is
-    /// the speculative attempt and is relabeled `AbortedCompute`; the
-    /// remaining one is its serialized rerun.
-    pub fn assemble(profiler: &Profiler, aborted: Vec<bool>, elapsed_ns: u64) -> Self {
-        Self::assemble_with_breadth(profiler, aborted, 1, elapsed_ns)
-    }
-
-    /// [`WallProfile::assemble`] for a run at speculation breadth
-    /// `breadth`. Each speculative chunk ran `breadth` candidate
-    /// attempts, every one recording a `ChunkCompute` span. In start
-    /// order: a committed chunk keeps its first compute span as the
-    /// realized run and relabels the rest `AbortedCompute` (losing
-    /// candidates — dead work, but not serial work); an aborted chunk
-    /// relabels its first `breadth` spans (all attempts lost) and keeps
-    /// the remainder — the rerun, possibly in several pool segments.
+    /// Drain `profiler` and assemble a profile for a run at speculation
+    /// breadth `breadth` that made the given per-chunk abort decisions
+    /// and took `elapsed_ns` of wall time. Each speculative chunk ran
+    /// `breadth` candidate attempts, every one recording a `ChunkCompute`
+    /// span. In start order: a committed chunk keeps its first compute
+    /// span as the realized run and relabels the rest `AbortedCompute`
+    /// (losing candidates — dead work, but not serial work); an aborted
+    /// chunk relabels its first `breadth` spans (all attempts lost) and
+    /// keeps the remainder — the rerun, possibly in several pool
+    /// segments.
     ///
     /// Replica replays die with the attempt that made them. Candidate 0
     /// of chunk `c` replays the replicas validating chunk `c + 1` (spans
@@ -1129,7 +1123,7 @@ mod tests {
         p.record(Category::StateComparison, 1, 110, 115);
         p.record(Category::OriginalStateGen, 2, 290, 295);
         p.record(Category::ChunkCompute, 2, 0, 80);
-        let profile = WallProfile::assemble(&p, vec![false, true, false], 300);
+        let profile = WallProfile::assemble_with_breadth(&p, vec![false, true, false], 1, 300);
         let aborted: Vec<_> = profile
             .spans
             .iter()
@@ -1182,7 +1176,7 @@ mod tests {
             elapsed_ns: t + 100,
             dropped: 0,
         };
-        // Route through the same relabeling as assemble().
+        // Route through the same relabeling as assemble_with_breadth().
         for (chunk, _) in profile
             .aborted
             .clone()

@@ -134,11 +134,6 @@ impl TelemetrySink {
         }
     }
 
-    /// Whether an event log is attached.
-    pub fn has_event_log(&self) -> bool {
-        self.events.is_some()
-    }
-
     /// Flush the event log, if any.
     pub fn flush(&self) {
         if let Some(log) = &self.events {
@@ -364,7 +359,6 @@ mod tests {
     #[test]
     fn events_are_optional() {
         let sink = TelemetrySink::new(1);
-        assert!(!sink.has_event_log());
         // No-op, must not panic.
         sink.event(&Event::ChunkCommitted { chunk: 0 });
         sink.flush();

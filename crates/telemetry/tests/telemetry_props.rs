@@ -2,8 +2,9 @@
 //! and counter aggregation is exact for arbitrary recording schedules.
 
 use proptest::prelude::*;
-use stats_telemetry::json::{escape, validate, JsonObject};
+use stats_telemetry::json::{validate, JsonObject};
 use stats_telemetry::{Counter, Event, TelemetrySink, COUNTERS};
+use stats_trace::chrome::json_escape;
 
 /// Characters that stress JSON escaping, mixed with arbitrary code points.
 const HOSTILE: &[char] = &[
@@ -30,7 +31,7 @@ fn hostile_string() -> impl Strategy<Value = String> {
 proptest! {
     #[test]
     fn escaped_strings_always_embed_validly(s in hostile_string()) {
-        let line = format!("{{\"k\":\"{}\"}}", escape(&s));
+        let line = format!("{{\"k\":\"{}\"}}", json_escape(&s));
         prop_assert!(validate(&line).is_ok(), "escape broke JSON for {:?}", s);
     }
 

@@ -1,75 +1,6 @@
-//! Trace slicing and interval analysis utilities.
+//! Concurrency analysis over a trace's spans.
 
-use crate::{Category, Cycles, Trace, TraceBuilder};
-
-/// Restrict a trace to the spans matching `keep`, preserving timestamps
-/// (edges among surviving spans are kept; edges touching removed spans are
-/// dropped).
-pub fn filter_spans(trace: &Trace, keep: impl Fn(&crate::Span) -> bool) -> Trace {
-    let mut b = TraceBuilder::new(trace.meta().scenario.clone());
-    b.cores(trace.meta().cores);
-    if let Some(seq) = trace.meta().sequential_cycles {
-        b.sequential_cycles(seq);
-    }
-    let mut remap = vec![None; trace.spans().len()];
-    for s in trace.spans() {
-        if keep(s) {
-            let id = match &s.label {
-                Some(l) => b.push_labeled(
-                    s.thread,
-                    s.category,
-                    s.start,
-                    s.end,
-                    s.instructions,
-                    l.clone(),
-                ),
-                None => b.push(s.thread, s.category, s.start, s.end, s.instructions),
-            };
-            remap[s.id.0] = Some(id);
-        }
-    }
-    for e in trace.edges() {
-        if let (Some(f), Some(t)) = (remap[e.from.0], remap[e.to.0]) {
-            b.depend(f, t);
-        }
-    }
-    b.finish().expect("subset of a valid trace is valid")
-}
-
-/// Clip a trace to the window `[start, end)`: spans are intersected with
-/// the window, spans outside it disappear, and edges among survivors whose
-/// clipped timestamps still respect causality are kept.
-pub fn window(trace: &Trace, start: Cycles, end: Cycles) -> Trace {
-    let mut b = TraceBuilder::new(format!("{} [{start}..{end})", trace.meta().scenario));
-    b.cores(trace.meta().cores);
-    let mut remap = vec![None; trace.spans().len()];
-    for s in trace.spans() {
-        let s_start = s.start.max(start);
-        let s_end = s.end.min(end);
-        if s_start < s_end || (s.start == s.end && s.start >= start && s.start < end) {
-            let id = b.push(
-                s.thread,
-                s.category,
-                s_start,
-                s_end.max(s_start),
-                s.instructions,
-            );
-            remap[s.id.0] = Some(id);
-        }
-    }
-    for e in trace.edges() {
-        if let (Some(_), Some(_)) = (remap[e.from.0], remap[e.to.0]) {
-            // Clipping can invert edge timing (producer clipped later than
-            // consumer start); only keep edges that stay causal.
-            let f = trace.span(e.from);
-            let t = trace.span(e.to);
-            if f.end.min(end) <= t.start.max(start) {
-                b.depend(remap[e.from.0].unwrap(), remap[e.to.0].unwrap());
-            }
-        }
-    }
-    b.finish().expect("clipped spans cannot overlap")
-}
+use crate::{Cycles, Trace};
 
 /// Number of threads simultaneously busy at each category-changing
 /// instant: returns `(time, busy_threads)` breakpoints in time order.
@@ -126,23 +57,10 @@ pub fn busy_fraction(trace: &Trace, threshold: usize) -> f64 {
     covered as f64 / makespan.get() as f64
 }
 
-/// Total cycles spent in `category` within the window `[start, end)`.
-pub fn category_cycles_in(trace: &Trace, category: Category, start: Cycles, end: Cycles) -> Cycles {
-    let mut total = 0u64;
-    for s in trace.spans().iter().filter(|s| s.category == category) {
-        let a = s.start.max(start);
-        let b = s.end.min(end);
-        if a < b {
-            total += (b - a).get();
-        }
-    }
-    Cycles(total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ThreadId;
+    use crate::{Category, ThreadId, TraceBuilder};
 
     fn trace() -> Trace {
         let mut b = TraceBuilder::new("analysis");
@@ -170,31 +88,6 @@ mod tests {
         );
         b.depend(a, c);
         b.finish().unwrap()
-    }
-
-    #[test]
-    fn filter_keeps_matching_spans_and_edges() {
-        let t = trace();
-        let only_compute = filter_spans(&t, |s| s.category == Category::ChunkCompute);
-        assert_eq!(only_compute.spans().len(), 2);
-        assert!(only_compute.edges().is_empty(), "edge to setup dropped");
-        let keep_all = filter_spans(&t, |_| true);
-        assert_eq!(keep_all.spans().len(), 4);
-        assert_eq!(keep_all.edges().len(), 1);
-    }
-
-    #[test]
-    fn window_clips_spans() {
-        let t = trace();
-        let w = window(&t, Cycles(120), Cycles(220));
-        // Setup (0..100) and outside (300..350) vanish; the two compute
-        // spans clip to 120..220 and 150..220.
-        assert_eq!(w.spans().len(), 2);
-        assert_eq!(w.makespan(), Cycles(220));
-        for s in w.spans() {
-            assert!(s.start >= Cycles(120));
-            assert!(s.end <= Cycles(220));
-        }
     }
 
     #[test]
@@ -226,22 +119,9 @@ mod tests {
     }
 
     #[test]
-    fn category_cycles_window_intersection() {
-        let t = trace();
-        let c = category_cycles_in(&t, Category::ChunkCompute, Cycles(0), Cycles(200));
-        // Span 100..300 contributes 100; span 150..250 contributes 50.
-        assert_eq!(c, Cycles(150));
-        assert_eq!(
-            category_cycles_in(&t, Category::Setup, Cycles(500), Cycles(600)),
-            Cycles::ZERO
-        );
-    }
-
-    #[test]
     fn empty_trace_analysis_is_safe() {
         let t = TraceBuilder::new("empty").finish().unwrap();
         assert_eq!(busy_fraction(&t, 1), 0.0);
         assert!(concurrency_profile(&t).is_empty());
-        assert!(filter_spans(&t, |_| true).spans().is_empty());
     }
 }

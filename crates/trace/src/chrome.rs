@@ -10,9 +10,14 @@
 use crate::{DependencyEdge, Trace};
 use std::fmt::Write as _;
 
-/// Escape a string for a JSON literal (the only dynamic strings we emit
-/// are scenario names and span labels).
-fn escape(s: &str) -> String {
+/// Escape a string for a JSON string literal (quotes not included):
+/// quotes, backslashes and every control character below U+0020;
+/// everything else, non-ASCII included, passes through as UTF-8.
+///
+/// The workspace's one JSON string escaper: the Chrome exporter's scenario
+/// names and span labels, `stats_telemetry::json::JsonObject` and the
+/// analyzer's JSON report all write strings through it.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -79,7 +84,7 @@ pub fn to_chrome_trace_with_names(trace: &Trace, names: &[(usize, String)]) -> S
         format!(
             "  {{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\
              \"args\":{{\"name\":\"{}\"}}}}",
-            escape(&trace.meta().scenario)
+            json_escape(&trace.meta().scenario)
         ),
         &mut out,
     );
@@ -96,7 +101,7 @@ pub fn to_chrome_trace_with_names(trace: &Trace, names: &[(usize, String)]) -> S
                 "  {{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\
                  \"args\":{{\"name\":\"{}\"}}}}",
                 tid,
-                escape(&name)
+                json_escape(&name)
             ),
             &mut out,
         );
@@ -111,14 +116,14 @@ pub fn to_chrome_trace_with_names(trace: &Trace, names: &[(usize, String)]) -> S
 
     for s in trace.spans() {
         let name = match &s.label {
-            Some(l) => format!("{} ({})", s.category.name(), escape(l)),
+            Some(l) => format!("{} ({})", s.category.name(), json_escape(l)),
             None => s.category.name().to_string(),
         };
         push(
             format!(
                 "  {{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
                  \"pid\":1,\"tid\":{},\"args\":{{\"instructions\":{}}}}}",
-                escape(&name),
+                json_escape(&name),
                 s.category.name(),
                 s.start.get(),
                 s.duration().get(),
@@ -289,16 +294,22 @@ mod tests {
     }
 
     #[test]
-    fn escape_handles_every_control_character() {
+    fn json_escape_handles_quotes_backslashes_and_every_control_character() {
+        assert_eq!(json_escape("a\"b"), "a\\\"b");
+        assert_eq!(json_escape("a\\b"), "a\\\\b");
+        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         // The named shorthands.
-        assert_eq!(escape("\n\r\t"), "\\n\\r\\t");
+        assert_eq!(json_escape("\n\r\t"), "\\n\\r\\t");
+        assert_eq!(json_escape("a\nb\tc\r"), "a\\nb\\tc\\r");
         // Everything else below 0x20 becomes a \u escape.
-        assert_eq!(escape("\u{0}"), "\\u0000");
-        assert_eq!(escape("\u{1b}"), "\\u001b");
-        assert_eq!(escape("\u{1f}"), "\\u001f");
+        assert_eq!(json_escape("\u{0}"), "\\u0000");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        assert_eq!(json_escape("\u{1b}"), "\\u001b");
+        assert_eq!(json_escape("\u{1f}"), "\\u001f");
+        assert_eq!(json_escape("\u{1}\u{1f}"), "\\u0001\\u001f");
         for raw in 0u32..0x20 {
             let c = char::from_u32(raw).unwrap();
-            let esc = escape(&c.to_string());
+            let esc = json_escape(&c.to_string());
             assert!(esc.is_ascii(), "U+{raw:04X} escaped to non-ASCII {esc:?}");
             assert!(
                 !esc.chars().any(|c| (c as u32) < 0x20),
@@ -307,21 +318,22 @@ mod tests {
         }
         // 0x20 itself (space) and DEL pass through: JSON only requires
         // escaping below 0x20.
-        assert_eq!(escape(" \u{7f}"), " \u{7f}");
+        assert_eq!(json_escape(" \u{7f}"), " \u{7f}");
     }
 
     #[test]
-    fn escape_preserves_backslash_runs_and_unicode() {
+    fn json_escape_preserves_backslash_runs_and_unicode() {
         // Each backslash doubles; a run of four becomes eight.
-        assert_eq!(escape("\\\\\\\\"), "\\\\\\\\\\\\\\\\");
+        assert_eq!(json_escape("\\\\\\\\"), "\\\\\\\\\\\\\\\\");
         // Escaping the escaped form doubles the backslashes again rather
         // than corrupting them: one becomes two becomes four.
-        assert_eq!(escape(&escape("a\\b")), "a\\\\\\\\b");
+        assert_eq!(json_escape(&json_escape("a\\b")), "a\\\\\\\\b");
         // Multibyte characters pass through untouched — JSON strings are
         // UTF-8, no \u escaping needed above 0x1F.
-        assert_eq!(escape("état 漢字 🎯"), "état 漢字 🎯");
+        assert_eq!(json_escape("état 漢字 🎯"), "état 漢字 🎯");
+        assert_eq!(json_escape("λ→中"), "λ→中");
         // Mixed hostile input stays one logical line.
-        let esc = escape("a\"b\\c\nd\u{7}e");
+        let esc = json_escape("a\"b\\c\nd\u{7}e");
         assert_eq!(esc, "a\\\"b\\\\c\\nd\\u0007e");
     }
 

@@ -37,15 +37,6 @@ impl Cycles {
     pub fn saturating_sub(self, other: Cycles) -> Cycles {
         Cycles(self.0.saturating_sub(other.0))
     }
-
-    /// This duration as a fraction of `total` (0.0 when `total` is zero).
-    pub fn fraction_of(self, total: Cycles) -> f64 {
-        if total.0 == 0 {
-            0.0
-        } else {
-            self.0 as f64 / total.0 as f64
-        }
-    }
 }
 
 impl Add for Cycles {
@@ -125,11 +116,9 @@ mod tests {
     }
 
     #[test]
-    fn cycles_sum_and_fraction() {
+    fn cycles_sum() {
         let total: Cycles = [Cycles(1), Cycles(2), Cycles(3)].into_iter().sum();
         assert_eq!(total, Cycles(6));
-        assert!((Cycles(3).fraction_of(Cycles(6)) - 0.5).abs() < 1e-12);
-        assert_eq!(Cycles(3).fraction_of(Cycles::ZERO), 0.0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Instruction accounting for the paper's Figs. 14–15.
 
-use crate::{Category, Trace, CATEGORIES};
+use crate::{Category, Trace};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -9,8 +9,8 @@ use std::collections::BTreeMap;
 /// The paper's Fig. 14 reports "the total amount of extra work performed in
 /// terms of number of instructions executed at run time" relative to the
 /// original program, and Fig. 15 breaks the extra instructions into the
-/// §III-B components. [`InstructionBreakdown`] computes both given a trace
-/// and a baseline instruction count.
+/// §III-B components. [`InstructionBreakdown`] holds the per-category
+/// counts both are computed from.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct InstructionBreakdown {
     per_category: BTreeMap<Category, u64>,
@@ -27,55 +27,6 @@ impl InstructionBreakdown {
     /// Instructions attributed to `category`.
     pub fn get(&self, category: Category) -> u64 {
         self.per_category.get(&category).copied().unwrap_or(0)
-    }
-
-    /// Total instructions across all categories.
-    pub fn total(&self) -> u64 {
-        self.per_category.values().sum()
-    }
-
-    /// Instructions in overhead categories (everything but useful work).
-    pub fn overhead(&self) -> u64 {
-        self.per_category
-            .iter()
-            .filter(|(c, _)| c.is_overhead())
-            .map(|(_, v)| *v)
-            .sum()
-    }
-
-    /// Extra instructions relative to a sequential baseline, as a signed
-    /// percentage of the baseline (Fig. 14's y-axis).
-    ///
-    /// Negative values are meaningful: the paper observes that
-    /// `streamclassifier` and `streamcluster` execute *fewer* instructions
-    /// under STATS because they converge faster.
-    pub fn extra_percent_vs(&self, baseline_instructions: u64) -> f64 {
-        if baseline_instructions == 0 {
-            return 0.0;
-        }
-        let total = self.total() as f64;
-        let base = baseline_instructions as f64;
-        (total - base) / base * 100.0
-    }
-
-    /// Fraction of overhead instructions attributed to `category`
-    /// (Fig. 15's stacked-bar shares). Returns 0 when there is no overhead.
-    pub fn overhead_share(&self, category: Category) -> f64 {
-        let overhead = self.overhead();
-        if overhead == 0 {
-            return 0.0;
-        }
-        debug_assert!(category.is_overhead());
-        self.get(category) as f64 / overhead as f64
-    }
-
-    /// Iterate the §III-B extra-computation categories with their counts,
-    /// in presentation order.
-    pub fn extra_computation(&self) -> impl Iterator<Item = (Category, u64)> + '_ {
-        CATEGORIES
-            .into_iter()
-            .filter(|c| c.is_extra_computation())
-            .map(move |c| (c, self.get(c)))
     }
 }
 
@@ -111,41 +62,11 @@ mod tests {
     }
 
     #[test]
-    fn totals_and_overhead() {
+    fn counts_per_category() {
         let ib = InstructionBreakdown::from_trace(&trace());
-        assert_eq!(ib.total(), 1_500);
-        assert_eq!(ib.overhead(), 500);
         assert_eq!(ib.get(Category::StateCopy), 300);
+        assert_eq!(ib.get(Category::AltProducer), 200);
+        assert_eq!(ib.get(Category::ChunkCompute), 1_000);
         assert_eq!(ib.get(Category::Setup), 0);
-    }
-
-    #[test]
-    fn extra_percent_positive_and_negative() {
-        let ib = InstructionBreakdown::from_trace(&trace());
-        // 1500 total vs 1000 baseline = +50%.
-        assert!((ib.extra_percent_vs(1_000) - 50.0).abs() < 1e-12);
-        // 1500 total vs 3000 baseline = -50% (the stream* effect).
-        assert!((ib.extra_percent_vs(3_000) + 50.0).abs() < 1e-12);
-        assert_eq!(ib.extra_percent_vs(0), 0.0);
-    }
-
-    #[test]
-    fn overhead_shares_sum_to_one() {
-        let ib = InstructionBreakdown::from_trace(&trace());
-        let share_copy = ib.overhead_share(Category::StateCopy);
-        let share_alt = ib.overhead_share(Category::AltProducer);
-        assert!((share_copy - 0.6).abs() < 1e-12);
-        assert!((share_alt - 0.4).abs() < 1e-12);
-        assert!((share_copy + share_alt - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn extra_computation_iterates_overhead_components() {
-        let ib = InstructionBreakdown::from_trace(&trace());
-        let items: Vec<_> = ib.extra_computation().collect();
-        assert!(items
-            .iter()
-            .any(|(c, v)| *c == Category::StateCopy && *v == 300));
-        assert!(items.iter().all(|(c, _)| c.is_extra_computation()));
     }
 }

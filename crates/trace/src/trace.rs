@@ -139,13 +139,6 @@ impl Trace {
         self.spans.iter().map(|s| s.instructions).sum()
     }
 
-    /// Spans of one thread, in time order.
-    pub fn thread_spans(&self, thread: ThreadId) -> Vec<&Span> {
-        let mut spans: Vec<_> = self.spans.iter().filter(|s| s.thread == thread).collect();
-        spans.sort_by_key(|s| s.start);
-        spans
-    }
-
     /// Speedup versus the recorded sequential baseline, if one is attached.
     pub fn speedup(&self) -> Option<f64> {
         let seq = self.meta.sequential_cycles?;
@@ -375,17 +368,6 @@ mod tests {
         b.push(t(0), Category::Sync, Cycles(0), Cycles(10), 0);
         b.push(t(0), Category::ChunkCompute, Cycles(10), Cycles(20), 0);
         assert!(b.finish().is_ok());
-    }
-
-    #[test]
-    fn thread_spans_are_time_ordered() {
-        let mut b = TraceBuilder::new("ok");
-        b.push(t(0), Category::ChunkCompute, Cycles(50), Cycles(60), 0);
-        b.push(t(0), Category::Setup, Cycles(0), Cycles(10), 0);
-        let trace = b.finish().unwrap();
-        let spans = trace.thread_spans(t(0));
-        assert_eq!(spans[0].category, Category::Setup);
-        assert_eq!(spans[1].category, Category::ChunkCompute);
     }
 
     #[test]

@@ -177,7 +177,6 @@ impl Cache {
 #[derive(Debug, Clone)]
 pub struct Tlb {
     inner: Cache,
-    page: usize,
 }
 
 impl Tlb {
@@ -200,18 +199,12 @@ impl Tlb {
         // Reuse the cache machinery: one "line" per page translation.
         Tlb {
             inner: Cache::new(CacheConfig::new(entries * page, ways, page)),
-            page,
         }
     }
 
     /// Touch the page containing `addr`; returns `true` on a TLB hit.
     pub fn access(&mut self, addr: u64) -> bool {
         self.inner.access(addr)
-    }
-
-    /// Page size in bytes.
-    pub fn page_size(&self) -> usize {
-        self.page
     }
 
     /// Hit/miss counters.
@@ -315,6 +308,11 @@ impl CacheHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Page size in bytes: one cache "line" per page translation.
+    fn page_size(tlb: &Tlb) -> usize {
+        tlb.inner.config().line
+    }
 
     #[test]
     fn cold_miss_then_hit() {
@@ -456,7 +454,7 @@ mod tests {
         assert!(!tlb.access(0x1000));
         assert!(tlb.access(0x1fff), "same page must hit");
         assert!(!tlb.access(0x2000), "next page is a new translation");
-        assert_eq!(tlb.page_size(), 4096);
+        assert_eq!(page_size(&tlb), 4096);
     }
 
     #[test]

@@ -74,12 +74,6 @@ impl CpiModel {
             + counters.branch_misses as f64 * self.branch_penalty;
         self.base_cpi + stall_cycles / instructions
     }
-
-    /// CPI ratio of one counter set relative to another (how much slower
-    /// per instruction configuration `a` runs than `b`).
-    pub fn slowdown(&self, a: &CounterSet, b: &CounterSet) -> f64 {
-        self.cpi(a) / self.cpi(b)
-    }
 }
 
 impl Default for CpiModel {
@@ -138,16 +132,6 @@ mod tests {
         let good = counters(1_000_000, 1_000, 500, 100, 200_000, 1_000);
         let bad = counters(1_000_000, 1_000, 500, 100, 200_000, 50_000);
         assert!(m.cpi(&bad) > m.cpi(&good));
-    }
-
-    #[test]
-    fn slowdown_is_a_ratio() {
-        let m = CpiModel::haswell();
-        let a = counters(1_000_000, 125_000, 125_000, 125_000, 0, 0);
-        let b = counters(1_000_000, 0, 0, 0, 0, 0);
-        let s = m.slowdown(&a, &b);
-        assert!((s - m.cpi(&a) / m.cpi(&b)).abs() < 1e-12);
-        assert!(s > 1.0);
     }
 
     #[test]
