@@ -2,8 +2,9 @@
 //!
 //! The experiment harness: one module per table/figure of the paper's
 //! evaluation (§V), regenerating each from the workbench's simulated
-//! runtime. Binaries under `src/bin/` print the rows; the library entry
-//! points are reused by integration tests at reduced scale.
+//! runtime. [`report::FIGURES`] lists every section under the id that
+//! `stats figures` takes; integration tests call the same entry points
+//! at reduced scale.
 //!
 //! | module | regenerates |
 //! |---|---|
@@ -48,6 +49,5 @@ pub mod pipeline;
 pub mod render;
 pub mod report;
 pub mod scaling;
-pub mod svg;
 pub mod table1;
 pub mod table2;

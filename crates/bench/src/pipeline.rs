@@ -19,17 +19,6 @@ impl Scale {
     pub fn inputs_for<W: Workload>(&self, workload: &W) -> usize {
         ((workload.native_input_count() as f64 * self.0) as usize).max(64)
     }
-
-    /// Parse from a CLI argument / env var (`STATS_SCALE`), defaulting to
-    /// native.
-    pub fn from_env() -> Scale {
-        std::env::var("STATS_SCALE")
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .filter(|s| *s > 0.0 && *s <= 1.0)
-            .map(Scale)
-            .unwrap_or(Scale::NATIVE)
-    }
 }
 
 /// The machines every experiment runs on.

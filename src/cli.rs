@@ -9,17 +9,20 @@
 //! * `tune <benchmark>` — the Fig. 3 autotuning loop.
 //! * `metrics <benchmark>` — run once and render the telemetry snapshot
 //!   (`--format table|prometheus|folded|json`).
-//! * `figures [ids…]` — regenerate tables/figures (`all` by default).
+//! * `figures [ids…]` — regenerate tables/figures (`all` by default;
+//!   `--seeds K` sets Fig. 16's run count).
 //! * `export <benchmark> <path>` — write a Chrome-trace JSON of a run.
 //! * `profile <benchmark>` — causal profile of the native pooled runtime
 //!   (`--workers N --seeds K --format table|json|chrome`); `run` and
 //!   `tune` accept `--profile` to attribute their native replays inline.
 //!
 //! Argument parsing is hand-rolled (the workbench's dependency policy
-//! keeps the offline crate set minimal) and unit-tested.
+//! keeps the offline crate set minimal) and unit-tested. A flag that a
+//! subcommand does not read is rejected, never ignored (`FLAG_READERS`).
 
 use stats_bench::native_attribution::{profile_workload_faulted, render_profile_table};
 use stats_bench::pipeline::{tuned_config, Scale, FIGURE_SEED};
+use stats_bench::report;
 use stats_core::report::ChunkDecision;
 use stats_core::runtime::pool::{default_workers, WorkerPool};
 use stats_core::runtime::simulated::SimulatedRuntime;
@@ -60,8 +63,11 @@ pub enum Command {
     },
     /// `figures [ids…]`
     Figures {
-        /// Figure/table identifiers (e.g. `fig09`, `table1`); empty = all.
+        /// Ids from [`report::FIGURES`] (e.g. `fig09`, `table1`) or
+        /// `all`; empty = all.
         ids: Vec<String>,
+        /// Fig. 16's run count, one seed per run.
+        seeds: usize,
         /// Parsed common options.
         opts: Options,
     },
@@ -235,7 +241,7 @@ USAGE:
   stats characterize <benchmark> [options] attribute its speedup losses
   stats tune <benchmark> [--budget N] [options]
   stats metrics <benchmark> [--format F] [options]
-  stats figures [fig09 fig10 … ablations scaling | all] [options]
+  stats figures [fig09 fig10 … ablations scaling | all] [--seeds K] [options]
   stats export <benchmark> <out.json> [options]
   stats profile <benchmark> [--workers N] [--seeds K] [--format F] [options]
   stats help
@@ -262,11 +268,12 @@ OPTIONS:
                    default 0) into the native run; recovery must leave
                    results bit-identical (run with --workers; profile)
   --budget N       tuning evaluations     (default 80; tune only)
-  --telemetry PATH write a JSONL telemetry event log (run/tune)
+  --telemetry PATH write a JSONL telemetry event log (run/tune/metrics)
   --json           machine-readable run summary   (run only)
   --format F       metrics rendering: table | prometheus | folded | json
                    profile rendering: table | json | chrome
-  --seeds K        seeds profiled for mean ± CI   (default 3; profile only)
+  --seeds K        profile: seeds profiled for mean ± CI (default 3)
+                   figures: Fig. 16 runs, one seed each  (default 40)
   --profile        attribute the native replay's wall-clock speedup loss
                    (run/tune with --workers; `stats profile` is the
                    multi-seed version under the benchmark's tuned config)
@@ -276,7 +283,34 @@ OPTIONS:
                    sharded across the pool, the winner's seed-ensemble
                    replay too, and the winner is replayed natively;
                    folded metrics keep using the simulated trace)
+
+A subcommand rejects any option it does not read.
 ";
+
+/// Every subcommand that takes options.
+const SUBCOMMANDS: &str = "run characterize tune metrics figures export profile";
+
+/// Every flag with the subcommands whose execution reads it; `parse`
+/// rejects the flag on any other subcommand. The configuration overrides
+/// are read by the subcommands that build their run with `config_for`.
+const FLAG_READERS: [(&str, &str); 16] = [
+    ("--scale", SUBCOMMANDS),
+    ("--seed", "run characterize tune metrics export profile"),
+    ("--chunks", "run characterize metrics export profile"),
+    ("--lookback", "run characterize metrics export profile"),
+    ("--extra-states", "run characterize metrics export profile"),
+    ("--overlap-rerun", "run characterize metrics export profile"),
+    ("--snapshot", "run characterize tune metrics export profile"),
+    ("--breadth", "run characterize tune metrics export profile"),
+    ("--faults", "run profile"),
+    ("--budget", "tune"),
+    ("--telemetry", "run tune metrics"),
+    ("--json", "run"),
+    ("--workers", "run tune metrics profile"),
+    ("--profile", "run tune"),
+    ("--format", "metrics profile"),
+    ("--seeds", "profile figures"),
+];
 
 /// Everything `parse_options` extracts besides the shared [`Options`]:
 /// positionals plus the subcommand-specific flags.
@@ -287,119 +321,80 @@ struct ParsedArgs {
     /// Raw `--format` value; each subcommand accepts a different set, so
     /// conversion happens once the subcommand is known.
     format: Option<String>,
-    seeds: usize,
+    /// Raw `--seeds` value; its default depends on the subcommand.
+    seeds: Option<usize>,
 }
 
-fn parse_options(args: &[String]) -> Result<ParsedArgs, ParseError> {
+/// A flag's value parsed as `T`, or an error naming what it expects.
+fn value<T: std::str::FromStr>(flag: &str, raw: &str, expects: &str) -> Result<T, ParseError> {
+    raw.parse()
+        .map_err(|_| ParseError(format!("{flag} expects {expects}")))
+}
+
+/// A flag's value parsed as a count of at least 1.
+fn count(flag: &str, raw: &str) -> Result<usize, ParseError> {
+    match value(flag, raw, "an integer")? {
+        0 => Err(ParseError(format!("{flag} must be at least 1"))),
+        n => Ok(n),
+    }
+}
+
+fn parse_options(sub: &str, args: &[String]) -> Result<ParsedArgs, ParseError> {
     let mut opts = Options::default();
     let mut positional = Vec::new();
     let mut budget = 80usize;
     let mut format = None;
-    let mut seeds = 3usize;
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        let mut take_value = |name: &str| -> Result<String, ParseError> {
-            i += 1;
-            args.get(i)
-                .cloned()
-                .ok_or_else(|| ParseError(format!("{name} requires a value")))
-        };
-        match arg.as_str() {
-            "--scale" => {
-                let v: f64 = take_value("--scale")?
-                    .parse()
-                    .map_err(|_| ParseError("--scale expects a number".into()))?;
-                if !(v > 0.0 && v <= 1.0) {
-                    return Err(ParseError("--scale must be in (0, 1]".into()));
-                }
-                opts.scale = Scale(v);
-            }
-            "--seed" => {
-                opts.seed = take_value("--seed")?
-                    .parse()
-                    .map_err(|_| ParseError("--seed expects an integer".into()))?;
-            }
-            "--chunks" => {
-                opts.chunks = Some(
-                    take_value("--chunks")?
-                        .parse()
-                        .map_err(|_| ParseError("--chunks expects an integer".into()))?,
-                );
-            }
-            "--lookback" => {
-                opts.lookback = Some(
-                    take_value("--lookback")?
-                        .parse()
-                        .map_err(|_| ParseError("--lookback expects an integer".into()))?,
-                );
-            }
-            "--extra-states" => {
-                opts.extra_states = Some(
-                    take_value("--extra-states")?
-                        .parse()
-                        .map_err(|_| ParseError("--extra-states expects an integer".into()))?,
-                );
-            }
-            "--budget" => {
-                budget = take_value("--budget")?
-                    .parse()
-                    .map_err(|_| ParseError("--budget expects an integer".into()))?;
-            }
-            "--telemetry" => {
-                opts.telemetry = Some(take_value("--telemetry")?);
-            }
-            "--workers" => {
-                let n: usize = take_value("--workers")?
-                    .parse()
-                    .map_err(|_| ParseError("--workers expects an integer".into()))?;
-                if n == 0 {
-                    return Err(ParseError("--workers must be at least 1".into()));
-                }
-                opts.workers = Some(n);
-            }
-            "--json" => {
-                opts.json = true;
-            }
-            "--profile" => {
-                opts.profile = true;
-            }
-            "--snapshot" => {
-                opts.snapshot =
-                    Some(SnapshotStrategy::parse(&take_value("--snapshot")?).map_err(ParseError)?);
-            }
-            "--breadth" => {
-                let k: usize = take_value("--breadth")?
-                    .parse()
-                    .map_err(|_| ParseError("--breadth expects an integer".into()))?;
-                if k == 0 {
-                    return Err(ParseError("--breadth must be at least 1".into()));
-                }
-                opts.breadth = Some(k);
-            }
-            "--overlap-rerun" => {
-                opts.overlap_rerun = true;
-            }
-            "--faults" => {
-                opts.faults = Some(FaultSpec::parse(&take_value("--faults")?).map_err(ParseError)?);
-            }
-            "--seeds" => {
-                seeds = take_value("--seeds")?
-                    .parse()
-                    .map_err(|_| ParseError("--seeds expects an integer".into()))?;
-                if seeds == 0 {
-                    return Err(ParseError("--seeds must be at least 1".into()));
-                }
-            }
-            "--format" => {
-                format = Some(take_value("--format")?);
-            }
-            other if other.starts_with("--") => {
-                return Err(ParseError(format!("unknown option {other}")));
-            }
-            _ => positional.push(arg.clone()),
+    let mut seeds = None;
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let flag = arg.as_str();
+        if !flag.starts_with("--") {
+            positional.push(arg.clone());
+            continue;
         }
-        i += 1;
+        let Some((_, readers)) = FLAG_READERS.iter().find(|(f, _)| *f == flag) else {
+            return Err(ParseError(format!("unknown option {flag}")));
+        };
+        if !readers.split(' ').any(|r| r == sub) {
+            return Err(ParseError(format!(
+                "{flag} is read by {}, not by {sub}",
+                readers.replace(' ', ", ")
+            )));
+        }
+        match flag {
+            "--json" => opts.json = true,
+            "--profile" => opts.profile = true,
+            "--overlap-rerun" => opts.overlap_rerun = true,
+            _ => {
+                let raw = args
+                    .next()
+                    .ok_or_else(|| ParseError(format!("{flag} requires a value")))?;
+                match flag {
+                    "--scale" => {
+                        let v: f64 = value(flag, raw, "a number")?;
+                        if !(v > 0.0 && v <= 1.0) {
+                            return Err(ParseError("--scale must be in (0, 1]".into()));
+                        }
+                        opts.scale = Scale(v);
+                    }
+                    "--seed" => opts.seed = value(flag, raw, "an integer")?,
+                    "--chunks" => opts.chunks = Some(value(flag, raw, "an integer")?),
+                    "--lookback" => opts.lookback = Some(value(flag, raw, "an integer")?),
+                    "--extra-states" => opts.extra_states = Some(value(flag, raw, "an integer")?),
+                    "--budget" => budget = value(flag, raw, "an integer")?,
+                    "--telemetry" => opts.telemetry = Some(raw.clone()),
+                    "--workers" => opts.workers = Some(count(flag, raw)?),
+                    "--snapshot" => {
+                        opts.snapshot = Some(SnapshotStrategy::parse(raw).map_err(ParseError)?);
+                    }
+                    "--breadth" => opts.breadth = Some(count(flag, raw)?),
+                    "--faults" => opts.faults = Some(FaultSpec::parse(raw).map_err(ParseError)?),
+                    "--seeds" => seeds = Some(count(flag, raw)?),
+                    "--format" => format = Some(raw.clone()),
+                    _ => unreachable!("{flag} is in FLAG_READERS but has no parser"),
+                }
+            }
+        }
     }
     Ok(ParsedArgs {
         opts,
@@ -427,14 +422,25 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     let Some((sub, rest)) = args.split_first() else {
         return Ok(Command::Help);
     };
+    let sub = sub.as_str();
+    if matches!(sub, "help" | "--help" | "-h") {
+        return if rest.is_empty() {
+            Ok(Command::Help)
+        } else {
+            Err(ParseError("help takes no arguments".into()))
+        };
+    }
+    if !SUBCOMMANDS.split(' ').any(|s| s == sub) {
+        return Err(ParseError(format!("unknown subcommand {sub:?}")));
+    }
     let ParsedArgs {
         opts,
         positional,
         budget,
         format,
         seeds,
-    } = parse_options(rest)?;
-    if opts.profile && opts.workers.is_none() && matches!(sub.as_str(), "run" | "tune") {
+    } = parse_options(sub, rest)?;
+    if opts.profile && opts.workers.is_none() {
         return Err(ParseError(
             "--profile attributes the native replay, so it requires --workers".into(),
         ));
@@ -444,12 +450,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             "--faults injects into the native pooled runtime, so it requires --workers".into(),
         ));
     }
-    if opts.faults.is_some() && !matches!(sub.as_str(), "run" | "profile") {
-        return Err(ParseError(
-            "--faults applies to run and profile only".into(),
-        ));
-    }
-    match sub.as_str() {
+    match sub {
         "run" => Ok(Command::Run {
             benchmark: expect_benchmark(&positional)?,
             opts,
@@ -477,13 +478,17 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 Some(s) => ProfileFormat::from_arg(s)?,
                 None => ProfileFormat::default(),
             },
-            seeds,
+            seeds: seeds.unwrap_or(3),
             opts,
         }),
-        "figures" => Ok(Command::Figures {
-            ids: positional,
-            opts,
-        }),
+        "figures" => {
+            report::select(&positional).map_err(ParseError)?;
+            Ok(Command::Figures {
+                ids: positional,
+                seeds: seeds.unwrap_or(40),
+                opts,
+            })
+        }
         "export" => {
             let benchmark = expect_benchmark(&positional)?;
             let path = positional
@@ -496,8 +501,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 opts,
             })
         }
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        other => Err(ParseError(format!("unknown subcommand {other:?}"))),
+        _ => unreachable!("{sub} is in SUBCOMMANDS but has no command"),
     }
 }
 
@@ -996,16 +1000,7 @@ impl WorkloadVisitor for ProfileCmd<'_> {
         let seeds: Vec<u64> = (0..self.seeds as u64)
             .map(|i| self.opts.seed.wrapping_add(i))
             .collect();
-        let mut cfg = tuned_config(w, 28, self.opts.scale);
-        if let Some(s) = self.opts.snapshot {
-            cfg.snapshot = s;
-        }
-        if let Some(k) = self.opts.breadth {
-            cfg.spec_breadth = k;
-        }
-        if self.opts.overlap_rerun {
-            cfg.overlap_rerun = true;
-        }
+        let cfg = config_for(w, &self.opts);
         let plan = self.opts.faults.map_or_else(FaultPlan::none, |spec| {
             spec.plan(&cfg, self.opts.scale.inputs_for(w))
         });
@@ -1094,53 +1089,11 @@ pub fn execute(cmd: Command) -> std::io::Result<String> {
             budget,
             opts,
         } => dispatch(&benchmark, TuneCmd { opts, budget, pool }),
-        Command::Figures { ids, opts } => {
-            let scale = opts.scale;
-            let all = ids.is_empty() || ids.iter().any(|i| i == "all");
-            let want = |id: &str| all || ids.iter().any(|i| i == id);
-            let mut out = String::new();
-            if want("table1") {
-                out.push_str(&stats_bench::table1::render(scale));
-            }
-            if want("fig09") {
-                out.push_str(&stats_bench::fig09::render(scale));
-            }
-            if want("fig10") {
-                out.push_str(&stats_bench::fig10::render(scale));
-            }
-            if want("fig11") {
-                out.push_str(&stats_bench::fig11::render(scale));
-            }
-            if want("fig12") {
-                out.push_str(&stats_bench::fig12::render(scale));
-            }
-            if want("fig13") {
-                out.push_str(&stats_bench::fig13::render(scale));
-            }
-            if want("fig14") {
-                out.push_str(&stats_bench::fig14::render(scale));
-            }
-            if want("fig15") {
-                out.push_str(&stats_bench::fig15::render(scale));
-            }
-            if want("table2") {
-                out.push_str(&stats_bench::table2::render(scale));
-                out.push_str(&stats_bench::table2::render_cpi(scale));
-            }
-            if want("fig16") {
-                out.push_str(&stats_bench::fig16::render(scale, 40));
-            }
-            if !all && ids.iter().any(|i| i == "ablations") {
-                out.push_str(&stats_bench::ablations::render(scale));
-            }
-            if !all && ids.iter().any(|i| i == "scaling") {
-                out.push_str(&stats_bench::scaling::render());
-            }
-            if out.is_empty() {
-                out = format!("no known figure ids in {ids:?}\n\n{USAGE}");
-            }
-            Ok(out)
-        }
+        Command::Figures { ids, seeds, opts } => Ok(report::select(&ids)
+            .expect("parse validated the ids")
+            .iter()
+            .map(|(_, render)| render(opts.scale, seeds))
+            .collect()),
         Command::Export {
             benchmark,
             path,
@@ -1215,12 +1168,83 @@ mod tests {
             other => panic!("wrong command {other:?}"),
         }
         match parse(&args("figures fig09 table1 --scale 0.1")).unwrap() {
-            Command::Figures { ids, opts } => {
+            Command::Figures { ids, seeds, opts } => {
                 assert_eq!(ids, vec!["fig09", "table1"]);
+                assert_eq!(seeds, 40, "Fig. 16's default run count");
                 assert_eq!(opts.scale, Scale(0.1));
             }
             other => panic!("wrong command {other:?}"),
         }
+        match parse(&args("figures fig16 --seeds 200")).unwrap() {
+            Command::Figures { seeds, .. } => assert_eq!(seeds, 200),
+            other => panic!("wrong command {other:?}"),
+        }
+        // An unknown id is an error that lists the valid ones.
+        let err = parse(&args("figures fig09 bogus")).unwrap_err();
+        assert!(
+            err.0.contains("\"bogus\"") && err.0.contains("table1"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn every_flag_parses_on_each_subcommand_that_reads_it() {
+        for (flag, readers) in FLAG_READERS {
+            let value = match flag {
+                "--json" | "--profile" | "--overlap-rerun" => "",
+                "--scale" => "0.5",
+                "--snapshot" => "cow",
+                "--format" => "json",
+                _ => "2",
+            };
+            for sub in readers.split(' ') {
+                let positional = match sub {
+                    "figures" => "",
+                    "export" => "swaptions out.json",
+                    _ => "swaptions",
+                };
+                // --profile and a run's --faults need a pool to act on.
+                let pool = match (flag, sub) {
+                    ("--profile", _) | ("--faults", "run") => "--workers 2",
+                    _ => "",
+                };
+                let line = format!("{sub} {positional} {flag} {value} {pool}");
+                assert!(parse(&args(&line)).is_ok(), "{line:?} must parse");
+            }
+        }
+    }
+
+    #[test]
+    fn rejects_flags_the_subcommand_does_not_read() {
+        // Each row: a misplaced flag and one subcommand the error must
+        // name as reading it.
+        for (line, reader) in [
+            ("run swaptions --budget 3", "tune"),
+            ("run swaptions --format json", "metrics"),
+            ("run swaptions --seeds 9", "figures"),
+            ("tune swaptions --chunks 8", "characterize"),
+            ("tune swaptions --overlap-rerun", "export"),
+            ("figures --chunks 4", "metrics"),
+            ("figures --workers 2", "profile"),
+            ("figures --seed 3", "tune"),
+            ("export swaptions out.json --workers 2", "run"),
+            ("characterize swaptions --telemetry x.jsonl", "metrics"),
+            ("characterize swaptions --json", "run"),
+            ("metrics swaptions --profile", "tune"),
+            ("profile swaptions --telemetry x.jsonl", "run"),
+        ] {
+            let err = parse(&args(line)).expect_err(line).0;
+            let sub = line.split(' ').next().unwrap();
+            assert!(
+                err.contains(reader) && err.ends_with(&format!(", not by {sub}")),
+                "{line:?}: {err}"
+            );
+        }
+        assert_eq!(
+            parse(&args("run swaptions --budget 3")).unwrap_err().0,
+            "--budget is read by tune, not by run"
+        );
+        assert!(parse(&args("help --scale 0.5")).is_err());
     }
 
     #[test]
@@ -1454,6 +1478,18 @@ mod tests {
         assert!(parse(&args("profile swaptions --format prometheus")).is_err());
         assert!(parse(&args("profile swaptions --seeds 0")).is_err());
         assert!(parse(&args("profile")).is_err());
+    }
+
+    #[test]
+    fn profile_applies_configuration_overrides() {
+        let json = execute(
+            parse(&args(
+                "profile swaptions --scale 0.05 --workers 2 --seeds 1 --chunks 4 --format json",
+            ))
+            .unwrap(),
+        )
+        .unwrap();
+        assert!(json.contains("\"chunks\":4"), "--chunks ignored:\n{json}");
     }
 
     #[test]

@@ -30,12 +30,14 @@
 //!   repo benchmark's per-layer `telemetry.span_record_ns`, reported
 //!   there rather than asserted here against a clock.
 
+use stats_workbench::bench::attribution::{attribute, LossCategory};
 use stats_workbench::bench::native_attribution::{
     compare_shapes, profile_workload, profile_workload_configured, simulated_reference,
 };
 use stats_workbench::bench::pipeline::{tuned_config, Scale, FIGURE_SEED};
 use stats_workbench::core::runtime::pool::WorkerPool;
 use stats_workbench::core::{run_speculative, Config, SnapshotStrategy};
+use stats_workbench::platform::{CostModel, Machine, Topology};
 use stats_workbench::workloads::{dispatch, Workload, WorkloadVisitor, BENCHMARK_NAMES};
 
 const SCALE: Scale = Scale(0.08);
@@ -148,20 +150,35 @@ fn native_attribution_agrees_with_the_simulator_on_every_benchmark() {
     }
 }
 
+/// The machine `simulated_reference` models for a `WORKERS`-wide pool.
+/// The what-if brackets below are evaluated on it by the simulator's
+/// attribution, so they are deterministic: a bracket compares speedups of
+/// different runs, which wall clocks on a time-shared host cannot do
+/// reliably.
+fn reference_machine() -> Machine {
+    Machine::new(Topology::new(1, WORKERS), CostModel::default())
+}
+
+/// Relative slack on every bracket edge. The brackets hold exactly in a
+/// causal model, but the simulator is a greedy list scheduler, so
+/// removing or cheapening work can lengthen the schedule a little
+/// (Graham's anomaly; the native profiler clamps its own what-ifs at the
+/// baseline for the same reason). Over the three copy-heavy trackers,
+/// both seeds and 2 or 28 cores, the largest such miss is 0.92 %: cow
+/// under deep on bodytrack at 28 cores, `FIGURE_SEED + 1`.
+const ANOMALY_TOLERANCE: f64 = 0.01;
+
 #[test]
 fn copies_free_whatif_brackets_the_achieved_cow_speedup() {
-    // The tentpole's closed loop: `stats profile` under deep snapshots
-    // projects a copies-free speedup; switching `--snapshot cow` is the
-    // closest real implementation of that counterfactual on the
-    // copy-heavy trackers (their generational particle clouds fault no
-    // bytes). The achieved cow speedup must land in the bracket the deep
-    // profile predicts — no worse than deep's measured speedup, no
-    // better than the copies-free projection — with each edge slackened
-    // by the edges' own CIs plus a documented 25% noise allowance
-    // (wall-clock speedups on a time-shared CI host jitter). The byte
-    // collapse behind it is asserted host-independently in
-    // `tests/oversubscription.rs`.
-    const BRACKET_SLACK: f64 = 1.25;
+    // The closed loop behind `--snapshot cow`: the deep-snapshot
+    // attribution projects what removing state copies buys, and
+    // copy-on-write snapshots are the closest real implementation of that
+    // counterfactual on the copy-heavy trackers (their generational
+    // particle clouds fault no bytes). The cow speedup must land in the
+    // bracket the deep attribution predicts: no worse than deep's, no
+    // better than deep's plus its state-copy marginal. The byte collapse
+    // behind it is asserted in `tests/oversubscription.rs`; natively,
+    // both snapshot strategies must stay observation-only.
     struct Bracket;
     impl WorkloadVisitor for Bracket {
         type Output = ();
@@ -175,38 +192,26 @@ fn copies_free_whatif_brackets_the_achieved_cow_speedup() {
             let cow = profile_workload_configured(w, &pool, SCALE, &seeds, cow_cfg);
             assert!(deep.parity && cow.parity, "{}: parity broken", w.name());
 
-            // Both bracket edges compare wall-clock speedups of *different*
-            // runs, so they need the host to actually run the workers in
-            // parallel: on a time-shared host with fewer threads than the
-            // pool, each edge measures OS preemption luck, not snapshot
-            // cost, and even the 25% allowance flakes.
-            if stats_workbench::core::runtime::pool::default_workers() < WORKERS {
-                return;
+            let machine = reference_machine();
+            for seed in seeds {
+                let deep = attribute(w, &machine, deep_cfg, SCALE, seed);
+                let cow = attribute(w, &machine, cow_cfg, SCALE, seed).achieved;
+                let floor = deep.achieved;
+                let ceiling = deep.achieved + deep.marginal_of(LossCategory::StateCopy);
+                assert!(
+                    cow >= floor * (1.0 - ANOMALY_TOLERANCE),
+                    "{} seed {seed}: cow speedup {cow:.4}x fell below deep's {floor:.4}x — \
+                     cheaper snapshots must not cost time",
+                    w.name(),
+                );
+                assert!(
+                    cow <= ceiling * (1.0 + ANOMALY_TOLERANCE),
+                    "{} seed {seed}: cow speedup {cow:.4}x exceeds the copies-free \
+                     projection {ceiling:.4}x — the what-if is an upper bound on what \
+                     removing copies buys",
+                    w.name(),
+                );
             }
-            let ceiling =
-                (deep.whatif_copies_free.mean + deep.whatif_copies_free.half_width) * BRACKET_SLACK;
-            let floor = (deep.measured.mean - deep.measured.half_width) / BRACKET_SLACK;
-            let achieved = cow.measured.mean;
-            assert!(
-                achieved - cow.measured.half_width <= ceiling,
-                "{}: cow speedup {achieved:.3}x (ci {:.3}) exceeds the copies-free \
-                 projection {:.3}x (ci {:.3}, slackened ceiling {ceiling:.3}x) — the \
-                 what-if is supposed to be an upper bound on what removing copies buys",
-                w.name(),
-                cow.measured.half_width,
-                deep.whatif_copies_free.mean,
-                deep.whatif_copies_free.half_width,
-            );
-            assert!(
-                achieved + cow.measured.half_width >= floor,
-                "{}: cow speedup {achieved:.3}x (ci {:.3}) fell below deep's measured \
-                 {:.3}x (ci {:.3}, slackened floor {floor:.3}x) — cheaper snapshots \
-                 must not cost wall time",
-                w.name(),
-                cow.measured.half_width,
-                deep.measured.mean,
-                deep.measured.half_width,
-            );
         }
     }
     for name in ["bodytrack", "facetrack", "facedet-and-track"] {
@@ -216,17 +221,14 @@ fn copies_free_whatif_brackets_the_achieved_cow_speedup() {
 
 #[test]
 fn mispeculation_free_whatif_brackets_the_achieved_breadth_speedup() {
-    // The breadth tentpole's closed loop, mirroring the cow bracket
-    // above: `stats profile` at breadth 1 projects a mispeculation-free
-    // speedup; racing a second alternative candidate per chunk
+    // The closed loop behind `--breadth`, mirroring the cow bracket
+    // above: the breadth-1 attribution projects a mispeculation-free
+    // speedup, and racing a second alternative candidate per chunk
     // (`--breadth 2`) is the closest real implementation of that
     // counterfactual on the abort-heavy trackers (their rescued chunks
-    // skip the serial rerun entirely). The achieved breadth-2 speedup
-    // must stay under the mispeculation-free ceiling the breadth-1
-    // profile predicts, and breadth 2 must rescue aborts. The rescue is
-    // a property of the protocol, not the host, and is asserted on every
-    // host.
-    const BRACKET_SLACK: f64 = 1.25;
+    // skip the serial rerun entirely). The breadth-2 speedup must stay
+    // under the mispeculation-free ceiling, and breadth 2 must rescue
+    // aborts; natively, both breadths must stay observation-only.
     struct BreadthBracket;
     impl WorkloadVisitor for BreadthBracket {
         type Output = ();
@@ -264,20 +266,18 @@ fn mispeculation_free_whatif_brackets_the_achieved_breadth_speedup() {
 
             // Ceiling: rescuing every abort cannot beat the what-if that
             // removed mispeculation for free.
-            let ceiling = (narrow.whatif_mispeculation_free.mean
-                + narrow.whatif_mispeculation_free.half_width)
-                * BRACKET_SLACK;
-            assert!(
-                wide.measured.mean - wide.measured.half_width <= ceiling,
-                "{}: breadth-2 speedup {:.3}x (ci {:.3}) exceeds the \
-                 mispeculation-free projection {:.3}x (ci {:.3}, slackened \
-                 ceiling {ceiling:.3}x)",
-                w.name(),
-                wide.measured.mean,
-                wide.measured.half_width,
-                narrow.whatif_mispeculation_free.mean,
-                narrow.whatif_mispeculation_free.half_width,
-            );
+            let machine = reference_machine();
+            for seed in seeds {
+                let narrow = attribute(w, &machine, narrow_cfg, SCALE, seed);
+                let wide = attribute(w, &machine, wide_cfg, SCALE, seed).achieved;
+                let ceiling = narrow.achieved + narrow.marginal_of(LossCategory::Mispeculation);
+                assert!(
+                    wide <= ceiling * (1.0 + ANOMALY_TOLERANCE),
+                    "{} seed {seed}: breadth-2 speedup {wide:.4}x exceeds the \
+                     mispeculation-free projection {ceiling:.4}x",
+                    w.name(),
+                );
+            }
         }
     }
     for name in ["bodytrack", "facetrack"] {
